@@ -332,6 +332,14 @@ pub fn lindblad_evolve_cloning(
     }
 }
 
+/// The RNG seed of trajectory `t` under base seed `seed`: the derivation
+/// `TrajectorySimulator` uses, so a serial loop seeded with it replays the
+/// simulator's trajectories one by one.
+pub fn trajectory_seed(seed: u64, t: usize) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+}
+
 /// Seed-style serial trajectory average of an observable.
 pub fn trajectory_expectation(
     circuit: &Circuit,
@@ -342,10 +350,7 @@ pub fn trajectory_expectation(
 ) -> f64 {
     let mut acc = 0.0;
     for t in 0..n_trajectories {
-        let traj_seed = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let mut rng = StdRng::seed_from_u64(traj_seed);
+        let mut rng = StdRng::seed_from_u64(trajectory_seed(seed, t));
         let state = run_statevector(circuit, noise, &mut rng);
         acc += expectation(&state, observable);
     }

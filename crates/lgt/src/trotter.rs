@@ -242,13 +242,13 @@ impl TrotterSweep {
             .state)
     }
 
-    /// Evolves `initial` to every time in `times` as **one ensemble pass**:
-    /// the sweep's bindings `dt = t / steps` are realised with
-    /// `CompiledCircuit::bind_batch` and all columns advance through the
-    /// compiled plan together, so plan traversal and operator materialisation
-    /// are paid once per step instead of once per time point. Each returned
-    /// state is bitwise identical to the corresponding
-    /// [`TrotterSweep::state_at`] call.
+    /// Evolves `initial` to every time in `times` as **one ensemble run**:
+    /// the sweep's bindings `dt = t / steps` go through
+    /// `CompiledCircuit::bind_batch` and `run_ensemble_from`, which evolve
+    /// the time points as independent columns on the worker pool, each
+    /// binding its own `dt` on the compiled plan. Each returned state is
+    /// bitwise identical to the corresponding [`TrotterSweep::state_at`]
+    /// call, at any thread count.
     ///
     /// # Errors
     /// Returns an error if the initial state register does not match or any

@@ -63,8 +63,8 @@ pub fn grid_search(
 }
 
 /// The grid [`grid_search`] walks, in its exact evaluation order — for
-/// callers that want to evaluate the whole grid as one *population* (e.g. a
-/// batched ensemble pass) and take the argmax themselves.
+/// callers that want to evaluate the whole grid as one *population* (e.g.
+/// one `run_ensemble` call) and take the argmax themselves.
 pub fn grid_points(dims: usize, lo: f64, hi: f64, points: usize) -> Vec<Vec<f64>> {
     assert!(points >= 2 && dims >= 1, "grid search needs at least 2 points and 1 dimension");
     let total = points.pow(dims as u32);

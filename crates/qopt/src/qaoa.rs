@@ -115,13 +115,12 @@ impl QaoaEvaluator {
 
     /// Outcome distributions for a whole **population** of parameter bindings.
     ///
-    /// Statevector backend: the population is realised with
-    /// `CompiledCircuit::bind_batch` and executed as one ensemble pass —
-    /// every execution step is decoded once and applied to all members as a
-    /// panel, which is where the optimiser's grid/population evaluations get
-    /// their batching win. Trajectory backend: each member runs through the
-    /// chunked batched-trajectory path. Both produce results bitwise
-    /// identical to calling [`QaoaEvaluator::distribution`] per member.
+    /// Statevector backend: the population goes through
+    /// `CompiledCircuit::bind_batch` and `run_ensemble`, which run the
+    /// members as independent columns on the worker pool. Trajectory
+    /// backend: each member runs through the chunked branch-prefix
+    /// trajectory executor. Both produce results bitwise identical to
+    /// calling [`QaoaEvaluator::distribution`] per member.
     fn distributions(&mut self, population: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
         match &mut self.backend {
             QaoaBackend::Statevector { sim, plan } => {
@@ -135,7 +134,7 @@ impl QaoaEvaluator {
             QaoaBackend::Trajectory { sim, plan } => population
                 .iter()
                 .map(|params| {
-                    sim.outcome_distribution_bound_batched(plan, params).map_err(QoptError::Circuit)
+                    sim.outcome_distribution_bound(plan, params).map_err(QoptError::Circuit)
                 })
                 .collect(),
         }
@@ -337,7 +336,7 @@ impl QuditQaoa {
     }
 
     /// Expected objective for a whole population of `(γ, β)` schedules in
-    /// one batched evaluation (see [`QaoaEvaluator`]'s ensemble path). The
+    /// one population evaluation (see [`QaoaEvaluator`]'s ensemble path). The
     /// returned values are bitwise identical to calling
     /// [`QuditQaoa::expected_value_bound`] on each schedule in order.
     ///
@@ -396,7 +395,7 @@ impl QuditQaoa {
         // recompiling the circuit.
         let mut eval = self.evaluator(noise)?;
         // Initial angles. For p = 1 the whole 5×5 grid is evaluated as a
-        // single population (one ensemble pass on the statevector backend)
+        // single population (one `run_ensemble` call on the statevector backend)
         // and the argmax taken in `grid_search`'s exact iteration order, so
         // the chosen point matches the serial grid search bitwise.
         let initial: Vec<f64> = if p == 1 {
@@ -596,8 +595,8 @@ mod tests {
             .0;
         let (bg, bb) = &schedules[best_idx];
         assert_eq!(serial_best, vec![bg[0], bb[0]]);
-        // Noisy (trajectory) backend goes through the batched trajectory
-        // fold, which is itself bitwise-identical to the serial fold.
+        // Noisy (trajectory) backend goes through the chunked trajectory
+        // executor, bitwise identical per member as well.
         let noise = NoiseModel::depolarizing(0.03, 0.03);
         let mut noisy_eval = qaoa.evaluator(&noise).unwrap();
         let pair = [schedules[3].clone(), schedules[17].clone()];

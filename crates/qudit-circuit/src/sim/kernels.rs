@@ -93,24 +93,6 @@ impl OpRecipe {
         self.parts.iter().any(|p| matches!(p, RecipePart::Free { .. }))
     }
 
-    /// The free-parameter indices this recipe reads, ascending and deduped.
-    /// [`OpRecipe::realize`] is a pure function of exactly these entries of
-    /// the binding, which is what lets a batched bind share one realization
-    /// between members that agree on them bitwise.
-    pub(crate) fn free_param_indices(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = self
-            .parts
-            .iter()
-            .filter_map(|p| match p {
-                RecipePart::Free { gate, .. } => gate.free_param(),
-                RecipePart::Const(_) => None,
-            })
-            .collect();
-        idx.sort_unstable();
-        idx.dedup();
-        idx
-    }
-
     /// `true` if the realized operator is diagonal at **every** binding:
     /// each free constituent has a diagonal generator and each constant
     /// constituent is diagonal.
@@ -366,13 +348,7 @@ impl CircuitKernels {
     /// Returns an error if `params` supplies fewer than
     /// [`CircuitKernels::num_params`] values.
     pub(crate) fn bind_into(&self, params: &[f64], binds: &mut BindBuffers) -> Result<()> {
-        if params.len() < self.num_params {
-            return Err(CircuitError::InvalidGate(format!(
-                "binding supplies {} parameters but the plan needs {}",
-                params.len(),
-                self.num_params
-            )));
-        }
+        self.check_binding(params)?;
         let mut overrides = Vec::new();
         for (index, step) in self.steps.iter().enumerate() {
             if let ExecStep::Apply { recipe: Some(recipe), .. } = step {
@@ -385,53 +361,17 @@ impl CircuitKernels {
         Ok(())
     }
 
-    /// [`CircuitKernels::bind_into`] over a whole population at once, with
-    /// the per-step materialisations **memoised**: members whose bindings
-    /// agree bitwise on the parameters a recipe actually reads share one
-    /// [`OpRecipe::realize`] call (the realized matrix is cloned into each
-    /// member's overlay, so [`BindBuffers`] stays unchanged). Structured
-    /// populations — a coordinate grid, a line search along one axis — pay
-    /// for the distinct values per step, not for the population size.
-    ///
-    /// Sharing is exact: `realize` is a deterministic pure function of the
-    /// parameters [`OpRecipe::free_param_indices`] names, so a memo hit is
-    /// bitwise identical to the realization `bind_into` would have produced.
-    ///
-    /// # Errors
-    /// Returns an error if any member supplies fewer than
+    /// Rejects a binding that supplies fewer than
     /// [`CircuitKernels::num_params`] values.
-    pub(crate) fn bind_batch_into(&self, population: &[Vec<f64>]) -> Result<Vec<BindBuffers>> {
-        for params in population {
-            if params.len() < self.num_params {
-                return Err(CircuitError::InvalidGate(format!(
-                    "binding supplies {} parameters but the plan needs {}",
-                    params.len(),
-                    self.num_params
-                )));
-            }
+    pub(crate) fn check_binding(&self, params: &[f64]) -> Result<()> {
+        if params.len() < self.num_params {
+            return Err(CircuitError::InvalidGate(format!(
+                "binding supplies {} parameters but the plan needs {}",
+                params.len(),
+                self.num_params
+            )));
         }
-        let mut cols: Vec<BindBuffers> =
-            population.iter().map(|_| BindBuffers::default()).collect();
-        let mut memo: Vec<(Vec<u64>, CMatrix, OpKind)> = Vec::new();
-        for (index, step) in self.steps.iter().enumerate() {
-            let ExecStep::Apply { recipe: Some(recipe), .. } = step else { continue };
-            let free = recipe.free_param_indices();
-            memo.clear();
-            for (b, params) in population.iter().enumerate() {
-                let key: Vec<u64> = free.iter().map(|&i| params[i].to_bits()).collect();
-                let (op, kind) = match memo.iter().find(|(k, _, _)| *k == key) {
-                    Some((_, op, kind)) => (op.clone(), kind.clone()),
-                    None => {
-                        let op = recipe.realize(params)?;
-                        let kind = OpKind::classify(&op);
-                        memo.push((key, op.clone(), kind.clone()));
-                        (op, kind)
-                    }
-                };
-                cols[b].overrides.push((index, op, kind));
-            }
-        }
-        Ok(cols)
+        Ok(())
     }
 }
 
@@ -481,8 +421,8 @@ pub(crate) struct RunScratch {
     pub block: Vec<Complex64>,
     /// Kraus branch probabilities.
     pub branch_probs: Vec<f64>,
-    /// Contiguous single-column buffer for the ensemble executors' gathered
-    /// per-column applies (see `sim::ensemble::apply_col`).
+    /// Contiguous single-column buffer for the trajectory executor's
+    /// gathered per-column applies (see `sim::ensemble::apply_col`).
     pub col: Vec<Complex64>,
 }
 

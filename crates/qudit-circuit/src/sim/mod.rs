@@ -36,10 +36,9 @@ mod statevector;
 mod trajectory;
 
 pub use density::{CompiledDensityCircuit, DensityMatrixSimulator};
-pub use ensemble::BatchBindings;
 pub use fusion::{FlushPolicy, FusionConfig, FusionStats};
 pub use kernels::{SuperopConfig, SuperopStats};
-pub use statevector::{CompiledCircuit, RunOutput, StatevectorSimulator};
+pub use statevector::{BatchBindings, CompiledCircuit, RunOutput, StatevectorSimulator};
 pub use trajectory::{TrajectoryEstimate, TrajectorySimulator};
 
 // Re-exported so guard configuration does not require a direct qudit-core

@@ -7,14 +7,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qudit_core::cancel::CancelToken;
+use qudit_core::error::CoreError;
 use qudit_core::guard::{GuardConfig, HealthMonitor, RunHealth};
+use qudit_core::par;
 use qudit_core::state::QuditState;
 
 use crate::circuit::{Circuit, Instruction};
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
-use crate::sim::ensemble::{run_ensemble_prepared, BatchBindings, EnsembleConfig};
 use crate::sim::fusion::{FusionConfig, FusionStats};
 use crate::sim::kernels::{BindBuffers, CircuitKernels, ExecStep, RunScratch};
 use crate::sim::{apply_channel_prepared, apply_readout_flip};
@@ -152,25 +153,40 @@ impl CompiledCircuit {
         self.topology.bind_into(params, &mut self.binds)
     }
 
-    /// Realises a whole *population* of bindings against this plan's shared
-    /// topology — one overlay per ensemble column — for batched execution via
-    /// [`StatevectorSimulator::run_ensemble`]. Each overlay is produced by the
-    /// same re-materialisation as [`CompiledCircuit::bind`], so column `b` of
-    /// the ensemble runs the bitwise-identical plan `bind(population[b])`
-    /// would have produced.
-    ///
-    /// Materialisations are shared across members that agree (bitwise) on
-    /// the parameters a step actually reads, so structured populations — a
-    /// coordinate grid, a sweep along one axis — pay for the distinct values
-    /// per step rather than the population size. Sharing is exact (the
-    /// realization is a pure function of those parameters), so the bitwise
-    /// contract with the serial bind loop is unaffected.
+    /// Validates a whole *population* of bindings against this plan for
+    /// [`StatevectorSimulator::run_ensemble`]. Each member is bound later,
+    /// on the worker that runs its column, by the same re-materialisation as
+    /// [`CompiledCircuit::bind`], so column `b` runs the bitwise-identical
+    /// plan `bind(population[b])` would have produced.
     ///
     /// # Errors
     /// Returns an error if any member supplies fewer than
     /// [`CompiledCircuit::num_params`] values.
     pub fn bind_batch(&self, population: &[Vec<f64>]) -> Result<BatchBindings> {
-        Ok(BatchBindings { cols: self.topology.bind_batch_into(population)? })
+        for params in population {
+            self.topology.check_binding(params)?;
+        }
+        Ok(BatchBindings { params: population.to_vec() })
+    }
+}
+
+/// A validated population of parameter bindings for one compiled plan, one
+/// member per ensemble column, produced by [`CompiledCircuit::bind_batch`]
+/// and consumed by [`StatevectorSimulator::run_ensemble`].
+#[derive(Debug, Clone)]
+pub struct BatchBindings {
+    params: Vec<Vec<f64>>,
+}
+
+impl BatchBindings {
+    /// Number of bindings (= ensemble columns) in the batch.
+    pub fn len(&self) -> usize {
+        self.params.len()
+    }
+
+    /// `true` if the batch holds no bindings.
+    pub fn is_empty(&self) -> bool {
+        self.params.is_empty()
     }
 }
 
@@ -243,8 +259,10 @@ impl StatevectorSimulator {
     }
 
     /// Sets the worker-thread count for the parallel shot loop in
-    /// [`StatevectorSimulator::sample_counts`] (`0` = automatic). Results are
-    /// independent of the thread count: every shot derives its own RNG seed.
+    /// [`StatevectorSimulator::sample_counts`] and the column map of
+    /// [`StatevectorSimulator::run_ensemble`] (`0` = automatic). Results are
+    /// independent of the thread count: every shot and column derives its
+    /// own RNG seed.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -372,13 +390,12 @@ impl StatevectorSimulator {
         self.run_compiled_from(compiled, initial)
     }
 
-    /// Runs a population of bindings through one compiled plan as a single
-    /// batched ensemble pass from `|0...0⟩` (see
-    /// [`CompiledCircuit::bind_batch`]): the plan is traversed **once**,
-    /// binding-invariant steps apply to all columns as matrix–panel products,
-    /// and parameter-dependent steps resolve per column. Column `b`'s output
-    /// is bitwise identical to `run_bound` on binding `b` — same state, same
-    /// measurement records, same health report.
+    /// Runs a population of bindings through one compiled plan from
+    /// `|0...0⟩` (see [`CompiledCircuit::bind_batch`]). Columns are
+    /// independent jobs on the worker pool: each binds its own member and
+    /// runs the serial step loop, so column `b`'s output is bitwise
+    /// identical to `run_bound` on binding `b` — same state, same
+    /// measurement records, same health report — at any thread count.
     ///
     /// Returns one `Result<RunOutput>` per column. Column-local failures
     /// (guard trips, zero-mass measurements) fail only their column;
@@ -436,13 +453,31 @@ impl StatevectorSimulator {
                 batch.len()
             )));
         }
-        let cfg = EnsembleConfig {
-            guard: self.guard,
-            cancel: self.cancel.as_ref(),
-            readout_flip: self.noise.readout_flip,
-            threads: self.threads,
+        let kernels = &compiled.topology;
+        check_register(kernels, initial)?;
+        let run_col = |b: usize| {
+            let mut binds = BindBuffers::default();
+            kernels.bind_into(&batch.params[b], &mut binds)?;
+            self.run_prepared(kernels, &binds, initial, &mut StdRng::seed_from_u64(seeds[b]))
         };
-        run_ensemble_prepared(&cfg, &compiled.topology, &batch.cols, initial, seeds)
+        let threads = self.resolved_threads();
+        let mut columns = match &self.cancel {
+            Some(token) => {
+                par::par_map_threads_counted_cancel(batch.len(), threads, token, run_col)
+                    .map_err(CircuitError::Core)?
+                    .0
+            }
+            None => par::par_map_threads(batch.len(), threads, run_col),
+        };
+        // A cancelled column cancels the whole call; every other failure
+        // stays in its column.
+        let cancelled = |col: &Result<RunOutput>| {
+            matches!(col, Err(CircuitError::Core(CoreError::Cancelled { .. })))
+        };
+        if let Some(b) = columns.iter().position(cancelled) {
+            columns.swap_remove(b)?;
+        }
+        Ok(columns)
     }
 
     /// Runs the circuit from `|0...0⟩` and returns the final state
@@ -511,13 +546,7 @@ impl StatevectorSimulator {
         initial: &QuditState,
         rng: &mut StdRng,
     ) -> Result<RunOutput> {
-        if initial.radix().dims() != kernels.dims {
-            return Err(CircuitError::InvalidTargets(format!(
-                "initial state register {:?} does not match circuit register {:?}",
-                initial.radix().dims(),
-                kernels.dims
-            )));
-        }
+        check_register(kernels, initial)?;
         if let Some(token) = &self.cancel {
             token.check(0).map_err(CircuitError::Core)?;
         }
@@ -635,8 +664,7 @@ impl StatevectorSimulator {
             let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
             let binds = BindBuffers::default();
             let initial = QuditState::zero(circuit.dims().to_vec()).map_err(CircuitError::Core)?;
-            let threads =
-                if self.threads == 0 { qudit_core::par::max_threads() } else { self.threads };
+            let threads = self.resolved_threads();
             let run_shot = |shot: usize| -> Result<Vec<usize>> {
                 let mut shot_rng = StdRng::seed_from_u64(
                     self.seed.wrapping_add(0x9E37_79B9).wrapping_mul(shot as u64 + 1),
@@ -655,11 +683,11 @@ impl StatevectorSimulator {
             // pool chunks, so a long sampling job stops within one chunk.
             let shot_digits = match &self.cancel {
                 Some(token) => {
-                    qudit_core::par::par_map_threads_counted_cancel(shots, threads, token, run_shot)
+                    par::par_map_threads_counted_cancel(shots, threads, token, run_shot)
                         .map_err(CircuitError::Core)?
                         .0
                 }
-                None => qudit_core::par::par_map_threads(shots, threads, run_shot),
+                None => par::par_map_threads(shots, threads, run_shot),
             };
             for digits in shot_digits {
                 *counts.entry(digits?).or_insert(0) += 1;
@@ -678,6 +706,14 @@ impl StatevectorSimulator {
         observable.expectation(&state)
     }
 
+    fn resolved_threads(&self) -> usize {
+        if self.threads == 0 {
+            par::max_threads()
+        } else {
+            self.threads
+        }
+    }
+
     fn circuit_is_stochastic(&self, circuit: &Circuit) -> bool {
         !self.noise.is_noiseless()
             || circuit.instructions().iter().any(|i| {
@@ -689,6 +725,18 @@ impl StatevectorSimulator {
                 )
             })
     }
+}
+
+/// Rejects an initial state whose register differs from the plan's.
+fn check_register(kernels: &CircuitKernels, initial: &QuditState) -> Result<()> {
+    if initial.radix().dims() != kernels.dims {
+        return Err(CircuitError::InvalidTargets(format!(
+            "initial state register {:?} does not match circuit register {:?}",
+            initial.radix().dims(),
+            kernels.dims
+        )));
+    }
+    Ok(())
 }
 
 /// `X^k` for the generalised shift, used to un-compute reset outcomes.

@@ -7,14 +7,18 @@
 //! of statistical error `∝ 1/√N`.
 //!
 //! Trajectories are independent by construction — trajectory `t` seeds its
-//! own RNG from `t` — so they run on [`qudit_core::par`] worker threads and
-//! reduce in trajectory order, making every estimate **bitwise identical**
-//! to the serial loop regardless of thread count. The per-instruction stride
-//! plans, operator classifications and noise channels are precompiled once
-//! and shared (read-only) by all trajectories — including the wire-local
-//! fused plan, which may re-order disjoint-support blocks past mid-circuit
-//! measurements (see [`crate::sim::fusion`]; estimates are unchanged because
-//! disjoint operations commute).
+//! own RNG from `t` — so every estimate is a fold over per-trajectory final
+//! states in trajectory order. They execute through the branch-prefix chunk
+//! executor (see `sim::ensemble`): a chunk of up to 64 trajectories evolves
+//! as one lazily splitting panel, chunks fan out over [`qudit_core::par`]
+//! worker threads, and values fold in trajectory order, so every estimate is
+//! **bitwise identical** to running each trajectory alone
+//! ([`TrajectorySimulator::run_single`]) regardless of thread count. The
+//! per-instruction stride plans, operator classifications and noise channels
+//! are precompiled once and shared (read-only) by all chunks — including the
+//! wire-local fused plan, which may re-order disjoint-support blocks past
+//! mid-circuit measurements (see [`crate::sim::fusion`]; estimates are
+//! unchanged because disjoint operations commute).
 
 use std::collections::HashMap;
 
@@ -37,11 +41,11 @@ use crate::sim::fusion::FusionConfig;
 use crate::sim::kernels::{BindBuffers, CircuitKernels};
 use crate::sim::statevector::{CompiledCircuit, StatevectorSimulator};
 
-/// Trajectories per batched-ensemble chunk. Bounds the panel width (memory
-/// is `dim × width` amplitudes) while leaving enough members per chunk for
+/// Most trajectories per chunk. Bounds the panel width (memory is
+/// `dim × width` amplitudes) while leaving enough members per chunk for
 /// branch-prefix grouping to amortise plan traversal and branch-probability
 /// work.
-const ENSEMBLE_CHUNK: usize = 64;
+const MAX_CHUNK: usize = 64;
 
 /// A Monte-Carlo trajectory simulator.
 ///
@@ -112,8 +116,9 @@ impl TrajectorySimulator {
         self
     }
 
-    /// Sets the worker-thread count for the trajectory loop (`0` =
-    /// automatic). Estimates are bitwise independent of this setting.
+    /// Sets the worker-thread count (`0` = automatic). Trajectories run in
+    /// chunks of `min(64, ⌈n / threads⌉)` that fan out over the worker pool;
+    /// estimates are bitwise independent of this setting.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -129,21 +134,21 @@ impl TrajectorySimulator {
     }
 
     /// Attaches a runtime health-guard configuration (disabled by default;
-    /// see [`qudit_core::guard`]), forwarded to every trajectory's
-    /// statevector run. Per-trajectory [`RunHealth`] reports are summed;
-    /// retrieve the aggregate with
-    /// [`TrajectorySimulator::expectation_detailed`].
+    /// see [`qudit_core::guard`]). Checkpoints run per branch-prefix group at
+    /// the cadence of a single-state run, and each group's report counts once
+    /// per member, so the summed [`RunHealth`] equals the total over
+    /// individual trajectories (plus worker-pool chunk retries); retrieve it
+    /// with [`TrajectorySimulator::expectation_detailed`].
     #[must_use]
     pub fn with_guard(mut self, guard: GuardConfig) -> Self {
         self.guard = guard;
         self
     }
 
-    /// Attaches a cooperative [`CancelToken`], polled between trajectory
-    /// batches, between worker-pool chunks inside a batch, and at the guard-
-    /// cadence boundaries inside every trajectory's statevector run. A
-    /// tripped token surfaces as
-    /// [`qudit_core::error::CoreError::Cancelled`]; partial batches are
+    /// Attaches a cooperative [`CancelToken`], polled before each wave of
+    /// chunks is dispatched, between worker-pool chunks, and at the guard-
+    /// cadence boundaries inside every chunk's run. A tripped token surfaces
+    /// as [`qudit_core::error::CoreError::Cancelled`]; partial waves are
     /// discarded wholesale, never folded into an estimate.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
@@ -190,83 +195,69 @@ impl TrajectorySimulator {
         Ok(())
     }
 
-    /// Maps `f` over the final state of every trajectory, in parallel, and
-    /// returns the per-trajectory results in trajectory order plus the
-    /// summed health report.
-    fn map_trajectories<T: Send>(
-        &self,
-        circuit: &Circuit,
-        f: impl Fn(usize, &QuditState) -> Result<T> + Sync,
-    ) -> Result<(Vec<T>, RunHealth)> {
-        let mut all = Vec::with_capacity(self.n_trajectories);
-        let health = self.fold_trajectories(circuit, f, &mut all, |acc, value| acc.push(value))?;
-        Ok((all, health))
-    }
-
-    /// Runs every trajectory, maps its final state with `f`, and folds the
-    /// mapped values into `acc` **in trajectory order**. Trajectories are
-    /// evaluated in bounded parallel batches, so peak memory holds one
-    /// mapped value per in-flight trajectory (≤ one batch), not one per
-    /// trajectory — `outcome_distribution` on a large register folds each
-    /// probability vector away as soon as its batch completes.
-    fn fold_trajectories<T: Send, A>(
-        &self,
-        circuit: &Circuit,
-        f: impl Fn(usize, &QuditState) -> Result<T> + Sync,
-        acc: &mut A,
-        fold: impl FnMut(&mut A, T),
-    ) -> Result<RunHealth> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.fold_trajectories_prepared(&kernels, &BindBuffers::default(), f, acc, fold)
-    }
-
-    /// [`TrajectorySimulator::fold_trajectories`] over a precompiled kernel
-    /// set and binding overlay, the plan-reuse path behind the `_compiled`
-    /// entry points. Returns the health reports of all trajectories summed,
-    /// plus any worker-pool chunk retries.
-    fn fold_trajectories_prepared<T: Send, A>(
+    /// Runs every trajectory through the branch-prefix chunk executor, maps
+    /// each final group state once with `group_f`, and calls `fold(t, value)`
+    /// per trajectory in ascending order, so any consumer that is a pure
+    /// function of the per-trajectory final states gets results bitwise
+    /// identical to running the trajectories one at a time.
+    ///
+    /// Chunks of `min(64, ⌈n / threads⌉)` trajectories fan out over the
+    /// worker pool in waves of `threads` chunks; a wave's mapped values are
+    /// folded before the next wave starts, which bounds memory. Returns the
+    /// summed health of all trajectories plus any chunk retries.
+    fn fold_trajectories<T: Send>(
         &self,
         kernels: &CircuitKernels,
         binds: &BindBuffers,
-        f: impl Fn(usize, &QuditState) -> Result<T> + Sync,
-        acc: &mut A,
-        mut fold: impl FnMut(&mut A, T),
+        group_f: impl Fn(&QuditState) -> Result<T> + Sync,
+        mut fold: impl FnMut(usize, &T),
     ) -> Result<RunHealth> {
         let initial = QuditState::zero(kernels.dims.clone()).map_err(CircuitError::Core)?;
-        let mut sv =
-            StatevectorSimulator::new().with_noise(self.noise.clone()).with_guard(self.guard);
-        if let Some(token) = &self.cancel {
-            sv = sv.with_cancel(token.clone());
-        }
-        let threads = self.resolved_threads();
-        let batch = threads.max(1) * 4;
+        let cfg = EnsembleConfig {
+            guard: self.guard,
+            cancel: self.cancel.as_ref(),
+            readout_flip: self.noise.readout_flip,
+        };
+        let n = self.n_trajectories;
+        let threads = self.resolved_threads().max(1);
+        let width = MAX_CHUNK.min(n.div_ceil(threads));
+        let n_chunks = n.div_ceil(width);
+        let run_chunk = |chunk: usize| {
+            let members: Vec<(usize, u64)> = (chunk * width..n.min((chunk + 1) * width))
+                .map(|t| (t, self.traj_seed(t)))
+                .collect();
+            run_trajectory_chunk(&cfg, kernels, binds, &initial, &members)?
+                .into_iter()
+                .map(|g| Ok((group_f(&g.state)?, g.members, g.health)))
+                .collect::<Result<Vec<_>>>()
+        };
         let mut health = RunHealth::default();
-        let mut start = 0;
-        while start < self.n_trajectories {
-            // Between-batch cancellation checkpoint: a long ensemble stops
-            // within one batch even when individual trajectories are short.
-            if let Some(token) = &self.cancel {
-                token.check(start).map_err(CircuitError::Core)?;
-            }
-            let len = batch.min(self.n_trajectories - start);
-            let run_batch = |i: usize| {
-                let t = start + i;
-                let mut rng = StdRng::seed_from_u64(self.traj_seed(t));
-                let out = sv.run_prepared(kernels, binds, &initial, &mut rng)?;
-                Ok::<_, CircuitError>((f(t, &out.state)?, out.health))
-            };
-            let (results, retries) = match &self.cancel {
-                Some(token) => par::par_map_threads_counted_cancel(len, threads, token, run_batch)
-                    .map_err(CircuitError::Core)?,
-                None => par::par_map_threads_counted(len, threads, run_batch),
+        for wave in (0..n_chunks).step_by(threads) {
+            let len = threads.min(n_chunks - wave);
+            let run_wave = |i: usize| run_chunk(wave + i);
+            let (chunks, retries) = match &self.cancel {
+                Some(token) => {
+                    // Between-wave checkpoint: a long ensemble stops within
+                    // one wave even when individual chunks are short.
+                    token.check(wave * width).map_err(CircuitError::Core)?;
+                    par::par_map_threads_counted_cancel(len, threads, token, run_wave)
+                        .map_err(CircuitError::Core)?
+                }
+                None => par::par_map_threads_counted(len, threads, run_wave),
             };
             health.retries += retries;
-            for r in results {
-                let (value, traj_health) = r?;
-                health.merge(&traj_health);
-                fold(acc, value);
+            for groups in chunks {
+                let groups = groups?;
+                let mut order: Vec<(usize, usize)> = Vec::new();
+                for (g, (_, members, group_health)) in groups.iter().enumerate() {
+                    health.merge(&group_health.scaled_by(members.len()));
+                    order.extend(members.iter().map(|&t| (t, g)));
+                }
+                order.sort_unstable();
+                for (t, g) in order {
+                    fold(t, &groups[g].0);
+                }
             }
-            start += len;
         }
         Ok(health)
     }
@@ -298,9 +289,8 @@ impl TrajectorySimulator {
         circuit: &Circuit,
         observable: &Observable,
     ) -> Result<(TrajectoryEstimate, RunHealth)> {
-        let (values, health) =
-            self.map_trajectories(circuit, |_, state| observable.expectation(state))?;
-        Ok((estimate(&values), health))
+        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
+        self.expectation_prepared(&kernels, &BindBuffers::default(), observable)
     }
 
     /// Trajectory-averaged expectation through a precompiled plan (see
@@ -316,15 +306,7 @@ impl TrajectorySimulator {
         observable: &Observable,
     ) -> Result<TrajectoryEstimate> {
         self.check_compiled(compiled)?;
-        let mut values = Vec::with_capacity(self.n_trajectories);
-        self.fold_trajectories_prepared(
-            &compiled.topology,
-            &compiled.binds,
-            |_, state| observable.expectation(state),
-            &mut values,
-            |acc, v| acc.push(v),
-        )?;
-        Ok(estimate(&values))
+        Ok(self.expectation_prepared(&compiled.topology, &compiled.binds, observable)?.0)
     }
 
     /// Rebinds a compiled plan to `params` and estimates the observable: the
@@ -342,6 +324,22 @@ impl TrajectorySimulator {
         self.check_compiled(compiled)?;
         compiled.bind(params)?;
         self.expectation_compiled(compiled, observable)
+    }
+
+    fn expectation_prepared(
+        &self,
+        kernels: &CircuitKernels,
+        binds: &BindBuffers,
+        observable: &Observable,
+    ) -> Result<(TrajectoryEstimate, RunHealth)> {
+        let mut values = Vec::with_capacity(self.n_trajectories);
+        let health = self.fold_trajectories(
+            kernels,
+            binds,
+            |state| observable.expectation(state),
+            |_, &v| values.push(v),
+        )?;
+        Ok((estimate(&values), health))
     }
 
     /// Trajectory-averaged probability of each full-register basis outcome.
@@ -378,6 +376,19 @@ impl TrajectorySimulator {
         self.outcome_distribution_compiled(compiled)
     }
 
+    /// Former name of [`TrajectorySimulator::outcome_distribution_bound`].
+    ///
+    /// # Errors
+    /// As [`TrajectorySimulator::outcome_distribution_bound`].
+    #[doc(hidden)]
+    pub fn outcome_distribution_bound_batched(
+        &self,
+        compiled: &mut CompiledCircuit,
+        params: &[f64],
+    ) -> Result<Vec<f64>> {
+        self.outcome_distribution_bound(compiled, params)
+    }
+
     fn outcome_distribution_prepared(
         &self,
         kernels: &CircuitKernels,
@@ -385,192 +396,7 @@ impl TrajectorySimulator {
     ) -> Result<Vec<f64>> {
         let total_dim: usize = kernels.dims.iter().product();
         let mut acc = vec![0.0; total_dim];
-        self.fold_trajectories_prepared(
-            kernels,
-            binds,
-            |_, state| Ok(state.probabilities()),
-            &mut acc,
-            |acc, probs| {
-                for (a, p) in acc.iter_mut().zip(probs.iter()) {
-                    *a += p;
-                }
-            },
-        )?;
-        for p in &mut acc {
-            *p /= self.n_trajectories as f64;
-        }
-        Ok(acc)
-    }
-
-    /// Runs the trajectory ensemble as *batched* chunks (see
-    /// [`crate::sim::ensemble`]): each chunk of up to [`ENSEMBLE_CHUNK`]
-    /// trajectories evolves as one lazily splitting panel, grouped by
-    /// Kraus-branch prefix, and `group_f` maps each final group state once.
-    /// `fold(t, value)` is then called per trajectory in ascending order —
-    /// the exact fold order of the serial loop — so any consumer that is a
-    /// pure function of the per-trajectory final states gets bitwise-
-    /// identical results.
-    fn fold_trajectory_groups<T>(
-        &self,
-        kernels: &CircuitKernels,
-        binds: &BindBuffers,
-        group_f: impl Fn(&QuditState) -> Result<T>,
-        mut fold: impl FnMut(usize, &T),
-    ) -> Result<RunHealth> {
-        let initial = QuditState::zero(kernels.dims.clone()).map_err(CircuitError::Core)?;
-        let cfg = EnsembleConfig {
-            guard: self.guard,
-            cancel: self.cancel.as_ref(),
-            readout_flip: self.noise.readout_flip,
-            // Chunks already fan out at the chunk level; column spans inside
-            // a chunk stay serial.
-            threads: 1,
-        };
-        let mut health = RunHealth::default();
-        let mut start = 0;
-        while start < self.n_trajectories {
-            if let Some(token) = &self.cancel {
-                token.check(start).map_err(CircuitError::Core)?;
-            }
-            let len = ENSEMBLE_CHUNK.min(self.n_trajectories - start);
-            let members: Vec<(usize, u64)> =
-                (start..start + len).map(|t| (t, self.traj_seed(t))).collect();
-            let groups = run_trajectory_chunk(&cfg, kernels, binds, &initial, &members)?;
-            // One value per branch-prefix group; trajectories then fold in
-            // ascending order through the group they belong to.
-            let mut group_of: Vec<usize> = vec![0; len];
-            let mut values = Vec::with_capacity(groups.len());
-            for (g_idx, group) in groups.iter().enumerate() {
-                values.push(group_f(&group.state)?);
-                health.merge(&group.health.scaled_by(group.members.len()));
-                for &t in &group.members {
-                    group_of[t - start] = g_idx;
-                }
-            }
-            for (i, &g_idx) in group_of.iter().enumerate() {
-                fold(start + i, &values[g_idx]);
-            }
-            start += len;
-        }
-        Ok(health)
-    }
-
-    /// [`TrajectorySimulator::expectation`] through the batched-ensemble
-    /// executor: trajectories evolve as lazily splitting panels instead of
-    /// one state vector at a time, with branch probabilities computed once
-    /// per branch-prefix group. The estimate is **bitwise identical** to
-    /// [`TrajectorySimulator::expectation`] at any chunk width, because every
-    /// panel column replays exactly one serial trajectory's arithmetic and
-    /// RNG stream, and values fold in trajectory order.
-    ///
-    /// # Errors
-    /// Returns an error for invalid instructions, observable mismatches, a
-    /// guard trip in any trajectory, or cancellation.
-    pub fn expectation_batched(
-        &self,
-        circuit: &Circuit,
-        observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.expectation_batched_prepared(&kernels, &BindBuffers::default(), observable)
-    }
-
-    /// [`TrajectorySimulator::expectation_batched`] through a precompiled
-    /// plan.
-    ///
-    /// # Errors
-    /// Returns an error for an observable/dimension mismatch or a noise
-    /// model mismatch.
-    pub fn expectation_compiled_batched(
-        &self,
-        compiled: &CompiledCircuit,
-        observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        self.check_compiled(compiled)?;
-        self.expectation_batched_prepared(&compiled.topology, &compiled.binds, observable)
-    }
-
-    /// Rebinds a compiled plan to `params` and estimates the observable via
-    /// the batched-ensemble executor.
-    ///
-    /// # Errors
-    /// Returns an error for a short binding or a noise model mismatch.
-    pub fn expectation_bound_batched(
-        &self,
-        compiled: &mut CompiledCircuit,
-        params: &[f64],
-        observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        // Validate before binding so a failed call leaves the plan untouched.
-        self.check_compiled(compiled)?;
-        compiled.bind(params)?;
-        self.expectation_compiled_batched(compiled, observable)
-    }
-
-    fn expectation_batched_prepared(
-        &self,
-        kernels: &CircuitKernels,
-        binds: &BindBuffers,
-        observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        let mut values = Vec::with_capacity(self.n_trajectories);
-        self.fold_trajectory_groups(
-            kernels,
-            binds,
-            |state| observable.expectation(state),
-            |_, &v| values.push(v),
-        )?;
-        Ok(estimate(&values))
-    }
-
-    /// [`TrajectorySimulator::outcome_distribution`] through the batched-
-    /// ensemble executor; bitwise identical to the serial path.
-    ///
-    /// # Errors
-    /// Returns an error for invalid instructions, a guard trip, or
-    /// cancellation.
-    pub fn outcome_distribution_batched(&self, circuit: &Circuit) -> Result<Vec<f64>> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.outcome_distribution_batched_prepared(&kernels, &BindBuffers::default())
-    }
-
-    /// [`TrajectorySimulator::outcome_distribution_compiled`] through the
-    /// batched-ensemble executor.
-    ///
-    /// # Errors
-    /// Returns an error for invalid dimensions or a noise model mismatch.
-    pub fn outcome_distribution_compiled_batched(
-        &self,
-        compiled: &CompiledCircuit,
-    ) -> Result<Vec<f64>> {
-        self.check_compiled(compiled)?;
-        self.outcome_distribution_batched_prepared(&compiled.topology, &compiled.binds)
-    }
-
-    /// Rebinds a compiled plan to `params` and returns the trajectory-
-    /// averaged outcome distribution via the batched-ensemble executor.
-    ///
-    /// # Errors
-    /// Returns an error for a short binding or a noise model mismatch.
-    pub fn outcome_distribution_bound_batched(
-        &self,
-        compiled: &mut CompiledCircuit,
-        params: &[f64],
-    ) -> Result<Vec<f64>> {
-        // Validate before binding so a failed call leaves the plan untouched.
-        self.check_compiled(compiled)?;
-        compiled.bind(params)?;
-        self.outcome_distribution_compiled_batched(compiled)
-    }
-
-    fn outcome_distribution_batched_prepared(
-        &self,
-        kernels: &CircuitKernels,
-        binds: &BindBuffers,
-    ) -> Result<Vec<f64>> {
-        let total_dim: usize = kernels.dims.iter().product();
-        let mut acc = vec![0.0; total_dim];
-        self.fold_trajectory_groups(
+        self.fold_trajectories(
             kernels,
             binds,
             |state| Ok(state.probabilities()),
@@ -596,33 +422,30 @@ impl TrajectorySimulator {
         circuit: &Circuit,
         shots_per_trajectory: usize,
     ) -> Result<HashMap<Vec<usize>, usize>> {
-        let (per_traj, _) = self.map_trajectories(circuit, |t, state| {
-            let mut rng = StdRng::seed_from_u64(self.traj_seed(t).wrapping_add(0xABCD));
-            let cdf = state.cdf();
-            let radix = state.radix();
-            let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
-            for _ in 0..shots_per_trajectory {
-                // Trajectory states are normalised; the guarded draw keeps a
-                // degenerate (underflowed) distribution on the documented
-                // ground-outcome convention instead of a zero-weight draw.
-                let chosen = cdf.try_draw(&mut rng).unwrap_or(0);
-                let mut digits = radix.digits_of(chosen).expect("index in range");
-                crate::sim::apply_readout_flip(
-                    &mut digits,
-                    circuit.dims(),
-                    self.noise.readout_flip,
-                    &mut rng,
-                );
-                *counts.entry(digits).or_insert(0) += 1;
-            }
-            Ok(counts)
-        })?;
+        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
-        for traj_counts in per_traj {
-            for (digits, n) in traj_counts {
-                *counts.entry(digits).or_insert(0) += n;
-            }
-        }
+        self.fold_trajectories(
+            &kernels,
+            &BindBuffers::default(),
+            |state| Ok(state.cdf()),
+            |t, cdf| {
+                let mut rng = StdRng::seed_from_u64(self.traj_seed(t).wrapping_add(0xABCD));
+                for _ in 0..shots_per_trajectory {
+                    // Trajectory states are normalised; the guarded draw keeps
+                    // a degenerate (underflowed) distribution on the documented
+                    // ground-outcome convention instead of a zero-weight draw.
+                    let chosen = cdf.try_draw(&mut rng).unwrap_or(0);
+                    let mut digits = circuit.radix().digits_of(chosen).expect("index in range");
+                    crate::sim::apply_readout_flip(
+                        &mut digits,
+                        circuit.dims(),
+                        self.noise.readout_flip,
+                        &mut rng,
+                    );
+                    *counts.entry(digits).or_insert(0) += 1;
+                }
+            },
+        )?;
         Ok(counts)
     }
 

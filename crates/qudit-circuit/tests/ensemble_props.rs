@@ -1,12 +1,15 @@
-//! Property tests for batched ensemble execution (`qudit_circuit::sim`
-//! ensemble executors): a population of bindings run as one panel pass must
-//! be **bitwise identical**, column for column, to the serial `run_bound`
-//! loop — states, measurement records, and guard health reports alike — and
-//! batched trajectories (lazily splitting branch-prefix panels) must
-//! reproduce the serial trajectory fold bitwise, mid-circuit measurement
-//! splits, guard checkpoints, readout flips and all. Density-backed
-//! consumers pin the same populations at 1e-12. Cancellation mid-batch
-//! fails the whole ensemble pass with the standard `Cancelled` error.
+//! Property tests for the repeated-plan executors: a population of bindings
+//! run through `run_ensemble` must be **bitwise identical**, column for
+//! column, to the serial `run_bound` loop — states, measurement records, and
+//! guard health reports alike — and the chunked branch-prefix trajectory
+//! executor must reproduce the serial trajectory fold bitwise, mid-circuit
+//! measurement splits, guard checkpoints, readout flips and all. The serial
+//! fold is rebuilt here from the public `run_single` as an independent
+//! oracle. Density-backed consumers pin the same populations at 1e-12.
+//! Cancellation mid-batch fails the whole call with the standard `Cancelled`
+//! error.
+
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,6 +23,7 @@ use qudit_circuit::sim::{
 use qudit_circuit::{Circuit, Gate, Observable, Param};
 use qudit_core::error::CoreError;
 use qudit_core::matrix::CMatrix;
+use qudit_core::state::QuditState;
 use qudit_core::Complex64;
 
 const TOL: f64 = 1e-12;
@@ -215,6 +219,42 @@ fn ensemble_width_one_and_duplicate_bindings_behave() {
 }
 
 #[test]
+fn seeded_ensemble_columns_are_thread_count_invariant() {
+    // Columns run on the worker pool, each with its own seed: every thread
+    // count must give the per-seed serial run, bit for bit.
+    let mut rng = StdRng::seed_from_u64(92_000);
+    let (c, dims) = random_param_circuit(&mut rng, 3, true);
+    let noise = NoiseModel::depolarizing(0.03, 0.05).with_readout_flip(0.05);
+    let guard = GuardConfig::enabled().with_cadence(2);
+    let population = random_population(&mut rng, 3, 7);
+    let seeds: Vec<u64> = (0..7).map(|b| 1_000 + b).collect();
+    let initial = QuditState::zero(dims).unwrap();
+    for threads in 1..=4 {
+        let sim = StatevectorSimulator::new()
+            .with_noise(noise.clone())
+            .with_guard(guard)
+            .with_threads(threads);
+        let plan = sim.compile(&c).unwrap();
+        let batch = plan.bind_batch(&population).unwrap();
+        let columns = sim.run_ensemble_seeded(&plan, &batch, &initial, &seeds).unwrap();
+        assert_eq!(columns.len(), population.len());
+        for (b, col) in columns.iter().enumerate() {
+            let col = col.as_ref().unwrap();
+            let serial_sim = StatevectorSimulator::with_seed(seeds[b])
+                .with_noise(noise.clone())
+                .with_guard(guard);
+            let mut serial_plan = plan.clone();
+            let serial =
+                serial_sim.run_bound_from(&mut serial_plan, &population[b], &initial).unwrap();
+            let ctx = format!("threads {threads}, column {b}");
+            assert_eq!(col.state.amplitudes(), serial.state.amplitudes(), "{ctx}");
+            assert_eq!(col.measurements, serial.measurements, "{ctx}");
+            assert_eq!(col.health, serial.health, "{ctx}");
+        }
+    }
+}
+
+#[test]
 fn ensemble_population_matches_density_backend_at_tolerance() {
     // Deterministic (noiseless, measurement-free) populations: every
     // ensemble column's probability vector must match the exact
@@ -241,8 +281,72 @@ fn ensemble_population_matches_density_backend_at_tolerance() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched trajectories.
+// Batched trajectories against the serial oracle.
 // ---------------------------------------------------------------------------
+
+/// The per-trajectory seed `TrajectorySimulator` derives from its base seed
+/// (pinned here so the oracle can replay the sampling stream).
+fn traj_seed(seed: u64, t: usize) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+}
+
+/// The serial trajectory fold, rebuilt from the public `run_single`: every
+/// trajectory's final state, one at a time, in trajectory order.
+fn oracle_states(sim: &TrajectorySimulator, c: &Circuit) -> Vec<QuditState> {
+    (0..sim.n_trajectories()).map(|t| sim.run_single(c, t).unwrap()).collect()
+}
+
+/// Sample mean and standard error folded in trajectory order.
+fn oracle_estimate(values: &[f64]) -> (f64, f64) {
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = if values.len() > 1 {
+        values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0)
+    } else {
+        0.0
+    };
+    (mean, (var / n).sqrt())
+}
+
+fn oracle_expectation(states: &[QuditState], obs: &Observable) -> (f64, f64) {
+    let values: Vec<f64> = states.iter().map(|s| obs.expectation(s).unwrap()).collect();
+    oracle_estimate(&values)
+}
+
+fn oracle_distribution(states: &[QuditState]) -> Vec<f64> {
+    let mut acc = vec![0.0; states[0].probabilities().len()];
+    for state in states {
+        for (a, p) in acc.iter_mut().zip(state.probabilities()) {
+            *a += p;
+        }
+    }
+    acc.iter().map(|a| a / states.len() as f64).collect()
+}
+
+fn oracle_counts(
+    states: &[QuditState],
+    seed: u64,
+    shots: usize,
+    readout_flip: f64,
+) -> HashMap<Vec<usize>, usize> {
+    let mut counts = HashMap::new();
+    for (t, state) in states.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(traj_seed(seed, t).wrapping_add(0xABCD));
+        let cdf = state.cdf();
+        for _ in 0..shots {
+            let mut digits = state.radix().digits_of(cdf.try_draw(&mut rng).unwrap()).unwrap();
+            qudit_circuit::sim::apply_readout_flip(
+                &mut digits,
+                state.radix().dims(),
+                readout_flip,
+                &mut rng,
+            );
+            *counts.entry(digits).or_insert(0) += 1;
+        }
+    }
+    counts
+}
 
 #[test]
 fn batched_trajectories_are_bitwise_identical_to_serial_fold() {
@@ -259,16 +363,16 @@ fn batched_trajectories_are_bitwise_identical_to_serial_fold() {
             .with_seed(900 + trial)
             .with_noise(noise)
             .with_guard(GuardConfig::enabled().with_policy(GuardPolicy::RenormalizeAndCount));
+        let states = oracle_states(&sim, &c);
 
-        let serial = sim.expectation(&c, &obs).unwrap();
-        let batched = sim.expectation_batched(&c, &obs).unwrap();
-        assert_eq!(batched.mean, serial.mean, "trial {trial}: means must be bitwise identical");
-        assert_eq!(batched.std_error, serial.std_error, "trial {trial}");
-        assert_eq!(batched.n_trajectories, serial.n_trajectories);
+        let est = sim.expectation(&c, &obs).unwrap();
+        let (mean, std_error) = oracle_expectation(&states, &obs);
+        assert_eq!(est.mean, mean, "trial {trial}: means must be bitwise identical");
+        assert_eq!(est.std_error, std_error, "trial {trial}");
+        assert_eq!(est.n_trajectories, 70);
 
-        let dist_serial = sim.outcome_distribution(&c).unwrap();
-        let dist_batched = sim.outcome_distribution_batched(&c).unwrap();
-        assert_eq!(dist_batched, dist_serial, "trial {trial}: distributions must be bitwise equal");
+        let dist = sim.outcome_distribution(&c).unwrap();
+        assert_eq!(dist, oracle_distribution(&states), "trial {trial}: distributions differ");
     }
 }
 
@@ -279,32 +383,63 @@ fn batched_trajectory_compiled_and_bound_paths_match_serial() {
     let noise = NoiseModel::cavity(0.05, 0.1, 0.0);
     let obs = Observable::number(0, dims[0]);
     let sim = TrajectorySimulator::new(40).with_seed(13).with_noise(noise);
-    let mut plan_serial = sim.compile(&c).unwrap();
-    let mut plan_batched = sim.compile(&c).unwrap();
+    let mut plan = sim.compile(&c).unwrap();
+    let mut theta = Vec::new();
     for round in 0..2 {
-        let theta: Vec<f64> = (0..2).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-        let serial = sim.expectation_bound(&mut plan_serial, &theta, &obs).unwrap();
-        let batched = sim.expectation_bound_batched(&mut plan_batched, &theta, &obs).unwrap();
-        assert_eq!(batched.mean, serial.mean, "round {round}");
-        assert_eq!(batched.std_error, serial.std_error, "round {round}");
-        let dist_serial = sim.outcome_distribution_bound(&mut plan_serial, &theta).unwrap();
-        let dist_batched =
-            sim.outcome_distribution_bound_batched(&mut plan_batched, &theta).unwrap();
-        assert_eq!(dist_batched, dist_serial, "round {round}");
+        theta = (0..2).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+        let states = oracle_states(&sim, &c.with_bound(&theta).unwrap());
+        let est = sim.expectation_bound(&mut plan, &theta, &obs).unwrap();
+        assert_eq!((est.mean, est.std_error), oracle_expectation(&states, &obs), "round {round}");
+        let dist = sim.outcome_distribution_bound(&mut plan, &theta).unwrap();
+        assert_eq!(dist, oracle_distribution(&states), "round {round}");
     }
-    // Compiled (no rebind) path too.
-    let serial = sim.expectation_compiled(&plan_serial, &obs).unwrap();
-    let batched = sim.expectation_compiled_batched(&plan_batched, &obs).unwrap();
-    assert_eq!(batched.mean, serial.mean);
-    assert_eq!(batched.std_error, serial.std_error);
+    // Compiled (no rebind) path too: the plan still holds the last binding.
+    let states = oracle_states(&sim, &c.with_bound(&theta).unwrap());
+    let est = sim.expectation_compiled(&plan, &obs).unwrap();
+    assert_eq!((est.mean, est.std_error), oracle_expectation(&states, &obs));
+    assert_eq!(sim.outcome_distribution_compiled(&plan).unwrap(), oracle_distribution(&states));
+}
+
+#[test]
+fn trajectory_estimates_match_serial_oracle_at_every_width_and_thread_count() {
+    // Chunk width is min(64, ceil(n / threads)), so these sizes cover one
+    // trajectory, ragged last chunks, exact multiples and several waves.
+    let mut rng = StdRng::seed_from_u64(52_000);
+    let (c, dims) = random_param_circuit(&mut rng, 2, true);
+    let theta = vec![0.7, -0.3];
+    let bound = c.with_bound(&theta).unwrap();
+    let noise = NoiseModel::depolarizing(0.04, 0.06).with_readout_flip(0.03);
+    let obs = Observable::number(0, dims[0]);
+    let cadence = 2;
+    let guard = GuardConfig::enabled().with_cadence(cadence);
+    let shots = 5;
+    for n in [1usize, 7, 40, 65, 130] {
+        let base = TrajectorySimulator::new(n).with_seed(77).with_noise(noise.clone());
+        let states = oracle_states(&base, &bound);
+        let expected_est = oracle_expectation(&states, &obs);
+        let expected_dist = oracle_distribution(&states);
+        let expected_counts = oracle_counts(&states, 77, shots, noise.readout_flip);
+        let steps = base.compile(&bound).unwrap().num_steps();
+        for threads in 1..=4 {
+            let sim = base.clone().with_threads(threads).with_guard(guard);
+            let ctx = format!("n = {n}, threads = {threads}");
+            let (est, health) = sim.expectation_detailed(&bound, &obs).unwrap();
+            assert_eq!((est.mean, est.std_error), expected_est, "{ctx}");
+            assert_eq!(health.checks_run, n * (steps / cadence + 1), "{ctx}: {health:?}");
+            assert_eq!(health.renormalizations, 0, "{ctx}");
+            let mut plan = sim.compile(&c).unwrap();
+            let dist = sim.outcome_distribution_bound(&mut plan, &theta).unwrap();
+            assert_eq!(dist, expected_dist, "{ctx}");
+            assert_eq!(sim.sample_counts(&bound, shots).unwrap(), expected_counts, "{ctx}");
+        }
+    }
 }
 
 #[test]
 fn batched_trajectories_converge_to_density_result() {
-    // The density back-end is exact; the batched trajectory average must
-    // approach it like the serial average does (and bitwise-equals the
-    // serial average, so this is a consistency anchor, not a statistics
-    // test: the tolerance is the Monte-Carlo error bar).
+    // The density back-end is exact; the trajectory average must approach
+    // it within the Monte-Carlo error bar (a consistency anchor for the
+    // chunked executor, not a statistics test).
     let mut c = Circuit::uniform(2, 3);
     c.push(Gate::fourier(3), &[0]).unwrap();
     c.push(Gate::csum(3, 3), &[0, 1]).unwrap();
@@ -315,7 +450,7 @@ fn batched_trajectories_converge_to_density_result() {
     let est = TrajectorySimulator::new(600)
         .with_seed(17)
         .with_noise(noise)
-        .expectation_batched(&c, &obs)
+        .expectation(&c, &obs)
         .unwrap();
     assert!(
         (est.mean - exact).abs() < 5.0 * est.std_error.max(0.02),
@@ -362,7 +497,7 @@ fn cancellation_mid_batch_stops_batched_trajectories() {
         .with_noise(NoiseModel::depolarizing(0.02, 0.02))
         .with_guard(GuardConfig::disabled().with_cadence(1))
         .with_cancel(token);
-    let err = sim.expectation_batched(&c, &Observable::number(0, dims[0])).unwrap_err();
+    let err = sim.expectation(&c, &Observable::number(0, dims[0])).unwrap_err();
     assert!(
         matches!(err, CircuitError::Core(CoreError::Cancelled { .. })),
         "expected cancellation, got {err:?}"

@@ -252,9 +252,8 @@ fn nan_poke_in_one_ensemble_column_is_attributed_without_poisoning_batch_mates()
     use qudit_circuit::{Gate as G, Param};
     use qudit_core::matrix::CMatrix;
 
-    // A parameterized circuit whose plan keeps several steps, so the poked
-    // panel keeps evolving (full-width batched applies included) after the
-    // fault lands.
+    // A parameterized circuit whose plan keeps several steps, so the
+    // poisoned column keeps evolving after the fault lands.
     let dims = vec![3, 2];
     let mut c = Circuit::new(dims);
     c.push(G::fourier(3), &[0]).unwrap();
@@ -265,18 +264,17 @@ fn nan_poke_in_one_ensemble_column_is_attributed_without_poisoning_batch_mates()
     c.push(G::csum(3, 2), &[0, 1]).unwrap();
     c.push(G::fourier(2), &[1]).unwrap();
 
-    let population: Vec<Vec<f64>> = vec![vec![0.2], vec![0.7], vec![1.1], vec![1.6]];
+    // Column 1 is poisoned through its binding: a NaN angle realises a
+    // non-finite operator, which the cadence-1 guard must catch in that
+    // column alone.
+    let poisoned = 1usize;
+    let mut population: Vec<Vec<f64>> = vec![vec![0.2], vec![0.7], vec![1.1], vec![1.6]];
+    population[poisoned][0] = f64::NAN;
     let width = population.len();
     let sim = StatevectorSimulator::with_seed(5).with_guard(GuardConfig::enabled().with_cadence(1));
     let plan = sim.compile(&c).unwrap();
     let batch = plan.bind_batch(&population).unwrap();
-
-    // The ensemble panel interleaves columns: flat index `i*width + b` is
-    // register index `i` of column `b`. Poking index 1 lands in column 1.
-    let poisoned = 1usize;
-    inject::arm(Fault::NanPoke { step: 0, index: poisoned });
     let ensemble = sim.run_ensemble(&plan, &batch).unwrap();
-    inject::disarm_all();
 
     for (b, col) in ensemble.iter().enumerate() {
         if b == poisoned {
@@ -289,7 +287,7 @@ fn nan_poke_in_one_ensemble_column_is_attributed_without_poisoning_batch_mates()
             }
         } else {
             // Batch-mates finish and match their clean serial runs bitwise:
-            // the batched kernels are column-local, so the NaN never leaks.
+            // columns share no state, so the NaN never leaks.
             let out = col.as_ref().unwrap_or_else(|e| {
                 panic!("column {b} poisoned by a fault in column {poisoned}: {e:?}")
             });

@@ -831,8 +831,8 @@ impl ApplyPlan {
     /// broadcasts. Every arm reproduces the *serial unit-stride* kernel's
     /// per-scalar arithmetic order on each column, so the per-column results
     /// are **bitwise identical** to applying [`ApplyPlan::apply`] to that
-    /// column's amplitudes alone — the contract the ensemble executors and
-    /// batched trajectories rely on.
+    /// column's amplitudes alone — the contract batched trajectories rely
+    /// on.
     ///
     /// `scratch` is caller working memory, resized as needed.
     ///

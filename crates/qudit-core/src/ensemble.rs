@@ -17,8 +17,8 @@
 //! Per-column reductions ([`EnsembleState::norm_sqr_col`],
 //! [`EnsembleState::normalize_col`]) reproduce the exact accumulation order
 //! of their [`crate::state::QuditState`] counterparts, which is what lets the
-//! ensemble executors promise bitwise-identical results to the serial
-//! one-state-at-a-time loop.
+//! batched trajectory executor promise bitwise-identical results to the
+//! serial one-state-at-a-time loop.
 
 use crate::complex::Complex64;
 use crate::error::{CoreError, Result};

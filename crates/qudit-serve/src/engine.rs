@@ -294,9 +294,9 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Transient-failure re-runs across all jobs.
     pub retries: u64,
-    /// Ensemble passes that coalesced ≥ 2 queued same-plan statevector jobs.
+    /// Ensemble runs that coalesced ≥ 2 queued same-plan statevector jobs.
     pub batches: u64,
-    /// Jobs whose result came out of a coalesced ensemble pass.
+    /// Jobs whose result came out of a coalesced ensemble run.
     pub batched_jobs: u64,
     /// Statevector plan-cache counters.
     pub statevector_cache: CacheStats,
@@ -589,8 +589,8 @@ impl Drop for ServeEngine {
 }
 
 /// Most queued same-plan statevector jobs one worker coalesces into a single
-/// ensemble pass (the pass's width). Bounds panel memory and keeps a single
-/// batch from starving other queued work.
+/// ensemble run (the run's width). Bounds the batch's memory and keeps a
+/// single batch from starving other queued work.
 const COALESCE_LIMIT: usize = 16;
 
 fn worker_loop(shared: &Shared) {
@@ -645,12 +645,13 @@ fn worker_loop(shared: &Shared) {
 
 /// Resolves a coalesced batch of same-plan statevector jobs. Members whose
 /// token already tripped resolve [`JobOutcome::Cancelled`] without running;
-/// the survivors execute as **one ensemble pass** with their per-job RNG
-/// seeds, so each completed payload is bitwise identical to the serial
-/// [`execute`] path. A column that fails inside the pass — or a pass that
+/// the survivors execute as **one `run_ensemble_seeded` call** — one plan
+/// lookup, then each column runs the serial step loop with its per-job RNG
+/// seed — so each completed payload is bitwise identical to the serial
+/// [`execute`] path. A column that fails inside the run — or a run that
 /// cannot start at all — falls back to the serial path for the affected
 /// jobs, which preserves the full retry/escalation ladder. A token tripping
-/// *during* the pass is honoured at resolution time: the member resolves
+/// *during* the run is honoured at resolution time: the member resolves
 /// `Cancelled` even though its column ran (batches trade mid-run
 /// cancellation latency for throughput; single jobs keep the serial path
 /// and its guard-cadence cancellation).
@@ -705,9 +706,10 @@ fn execute_batch(shared: &Shared, jobs: &[Job]) {
     }
 }
 
-/// One ensemble pass over a coalesced batch: fetch (or compile) the shared
-/// plan once, realise every member's parameter binding with `bind_batch`,
-/// and run all columns together with the members' per-job seeds.
+/// One ensemble run over a coalesced batch: fetch (or compile) the shared
+/// plan once, validate every member's parameter binding with `bind_batch`,
+/// and run the columns with the members' per-job seeds on the job's thread
+/// budget (`threads_per_job`).
 fn batched_statevector(
     shared: &Shared,
     jobs: &[&Job],

@@ -85,9 +85,9 @@ const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("crates/qudit-circuit/src/sim/fusion.rs", 4),
     ("crates/qudit-circuit/src/sim/trajectory.rs", 1),
     // Batched ensemble execution: the panel kernels and the chunked
-    // trajectory/binding executors are hot paths like their serial twins.
+    // trajectory executor are hot paths like their serial twins.
     ("crates/qudit-core/src/ensemble.rs", 0),
-    ("crates/qudit-circuit/src/sim/ensemble.rs", 2),
+    ("crates/qudit-circuit/src/sim/ensemble.rs", 1),
 ];
 
 /// How many lines above an `unsafe` keyword a `SAFETY:` comment may sit.

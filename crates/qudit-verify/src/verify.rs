@@ -2046,10 +2046,10 @@ pub fn verify_run_health(
     Ok(())
 }
 
-/// Checks every column of a batched ensemble pass against the checkpoint
-/// formula. The ensemble executor promises per-column `RunHealth` with the
-/// same semantics as a serial run — each member is checkpointed at the same
-/// cadence and carries its own counters — so each column must satisfy
+/// Checks every column of an ensemble run against the checkpoint formula.
+/// `run_ensemble` promises per-column `RunHealth` with the same semantics as
+/// a serial run — each member is checkpointed at the same cadence and
+/// carries its own counters — so each column must satisfy
 /// [`verify_run_health`] independently; a violation names the offending
 /// column.
 ///
