@@ -401,6 +401,9 @@ impl StatevectorSimulator {
     /// (guard trips, zero-mass measurements) fail only their column;
     /// structural errors and cancellation fail the whole call.
     ///
+    /// This is the population path of QAOA grids and Trotter sweeps; the
+    /// serving layer runs each job on its own instead.
+    ///
     /// # Errors
     /// Returns an error for a noise-model mismatch or cancellation.
     pub fn run_ensemble(
@@ -426,39 +429,13 @@ impl StatevectorSimulator {
         batch: &BatchBindings,
         initial: &QuditState,
     ) -> Result<Vec<Result<RunOutput>>> {
-        let seeds = vec![self.seed; batch.len()];
-        self.run_ensemble_seeded(compiled, batch, initial, &seeds)
-    }
-
-    /// [`StatevectorSimulator::run_ensemble_from`] with an explicit RNG seed
-    /// per column, for callers whose population members are independent jobs
-    /// with their own stochastic streams (the serving layer's coalesced
-    /// batches).
-    ///
-    /// # Errors
-    /// Returns an error for a register, noise-model, or seed-count mismatch,
-    /// or cancellation.
-    pub fn run_ensemble_seeded(
-        &self,
-        compiled: &CompiledCircuit,
-        batch: &BatchBindings,
-        initial: &QuditState,
-        seeds: &[u64],
-    ) -> Result<Vec<Result<RunOutput>>> {
         self.check_noise(compiled)?;
-        if seeds.len() != batch.len() {
-            return Err(CircuitError::InvalidTargets(format!(
-                "seed count {} does not match batch width {}",
-                seeds.len(),
-                batch.len()
-            )));
-        }
         let kernels = &compiled.topology;
         check_register(kernels, initial)?;
         let run_col = |b: usize| {
             let mut binds = BindBuffers::default();
             kernels.bind_into(&batch.params[b], &mut binds)?;
-            self.run_prepared(kernels, &binds, initial, &mut StdRng::seed_from_u64(seeds[b]))
+            self.run_prepared(kernels, &binds, initial, &mut StdRng::seed_from_u64(self.seed))
         };
         let threads = self.resolved_threads();
         let mut columns = match &self.cancel {

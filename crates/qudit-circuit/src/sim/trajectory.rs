@@ -449,13 +449,15 @@ impl TrajectorySimulator {
         Ok(counts)
     }
 
-    /// Runs a single trajectory with an index-derived seed.
+    /// Runs a single trajectory with an index-derived seed, under this
+    /// simulator's noise model, fusion config, guard and cancel token.
     ///
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn run_single(&self, circuit: &Circuit, index: usize) -> Result<QuditState> {
         let mut sv = StatevectorSimulator::with_seed(self.traj_seed(index))
             .with_noise(self.noise.clone())
+            .with_fusion(self.fusion.clone())
             .with_guard(self.guard);
         if let Some(token) = &self.cancel {
             sv = sv.with_cancel(token.clone());

@@ -220,36 +220,37 @@ fn ensemble_width_one_and_duplicate_bindings_behave() {
 
 #[test]
 fn seeded_ensemble_columns_are_thread_count_invariant() {
-    // Columns run on the worker pool, each with its own seed: every thread
-    // count must give the per-seed serial run, bit for bit.
+    // Columns run on the worker pool, each from the simulator's seed: every
+    // thread count must give the serial run of that seed, bit for bit.
     let mut rng = StdRng::seed_from_u64(92_000);
     let (c, dims) = random_param_circuit(&mut rng, 3, true);
     let noise = NoiseModel::depolarizing(0.03, 0.05).with_readout_flip(0.05);
     let guard = GuardConfig::enabled().with_cadence(2);
     let population = random_population(&mut rng, 3, 7);
-    let seeds: Vec<u64> = (0..7).map(|b| 1_000 + b).collect();
     let initial = QuditState::zero(dims).unwrap();
-    for threads in 1..=4 {
-        let sim = StatevectorSimulator::new()
-            .with_noise(noise.clone())
-            .with_guard(guard)
-            .with_threads(threads);
-        let plan = sim.compile(&c).unwrap();
-        let batch = plan.bind_batch(&population).unwrap();
-        let columns = sim.run_ensemble_seeded(&plan, &batch, &initial, &seeds).unwrap();
-        assert_eq!(columns.len(), population.len());
-        for (b, col) in columns.iter().enumerate() {
-            let col = col.as_ref().unwrap();
-            let serial_sim = StatevectorSimulator::with_seed(seeds[b])
+    for seed in [1_000, 1_001] {
+        for threads in 1..=4 {
+            let sim = StatevectorSimulator::with_seed(seed)
                 .with_noise(noise.clone())
-                .with_guard(guard);
-            let mut serial_plan = plan.clone();
-            let serial =
-                serial_sim.run_bound_from(&mut serial_plan, &population[b], &initial).unwrap();
-            let ctx = format!("threads {threads}, column {b}");
-            assert_eq!(col.state.amplitudes(), serial.state.amplitudes(), "{ctx}");
-            assert_eq!(col.measurements, serial.measurements, "{ctx}");
-            assert_eq!(col.health, serial.health, "{ctx}");
+                .with_guard(guard)
+                .with_threads(threads);
+            let plan = sim.compile(&c).unwrap();
+            let batch = plan.bind_batch(&population).unwrap();
+            let columns = sim.run_ensemble_from(&plan, &batch, &initial).unwrap();
+            assert_eq!(columns.len(), population.len());
+            for (b, col) in columns.iter().enumerate() {
+                let col = col.as_ref().unwrap();
+                let serial_sim = StatevectorSimulator::with_seed(seed)
+                    .with_noise(noise.clone())
+                    .with_guard(guard);
+                let mut serial_plan = plan.clone();
+                let serial =
+                    serial_sim.run_bound_from(&mut serial_plan, &population[b], &initial).unwrap();
+                let ctx = format!("seed {seed}, threads {threads}, column {b}");
+                assert_eq!(col.state.amplitudes(), serial.state.amplitudes(), "{ctx}");
+                assert_eq!(col.measurements, serial.measurements, "{ctx}");
+                assert_eq!(col.health, serial.health, "{ctx}");
+            }
         }
     }
 }
@@ -405,32 +406,68 @@ fn trajectory_estimates_match_serial_oracle_at_every_width_and_thread_count() {
     // Chunk width is min(64, ceil(n / threads)), so these sizes cover one
     // trajectory, ragged last chunks, exact multiples and several waves.
     let mut rng = StdRng::seed_from_u64(52_000);
-    let (c, dims) = random_param_circuit(&mut rng, 2, true);
+    let (random, random_dims) = random_param_circuit(&mut rng, 2, true);
+    // Fusion off with explicit loss channels between Fourier/CSUM layers and
+    // no gate noise (noisy gates would bar fusion anyway): `run_single`, the
+    // oracle, must honour the simulator's fusion config exactly as the chunk
+    // executor does.
+    let lossy_dims = vec![3; 3];
+    let mut lossy = Circuit::new(lossy_dims.clone());
+    for q in 0..3 {
+        lossy.push(Gate::fourier(3), &[q]).unwrap();
+    }
+    lossy.push(Gate::csum(3, 3), &[0, 1]).unwrap();
+    lossy.push_channel(KrausChannel::photon_loss(3, 0.2).unwrap(), &[1]).unwrap();
+    lossy.push(Gate::csum(3, 3), &[1, 2]).unwrap();
+    lossy.push_channel(KrausChannel::photon_loss(3, 0.2).unwrap(), &[2]).unwrap();
+    for idx in 0..2 {
+        push_random_param_gate(&mut lossy, &lossy_dims, idx, &mut rng);
+    }
+    lossy.push(Gate::fourier(3), &[0]).unwrap();
+    lossy.push_channel(KrausChannel::photon_loss(3, 0.2).unwrap(), &[0]).unwrap();
+    let inputs = [
+        (
+            random,
+            random_dims,
+            NoiseModel::depolarizing(0.04, 0.06).with_readout_flip(0.03),
+            FusionConfig::default(),
+        ),
+        (
+            lossy,
+            lossy_dims,
+            NoiseModel::noiseless().with_readout_flip(0.03),
+            FusionConfig::disabled(),
+        ),
+    ];
     let theta = vec![0.7, -0.3];
-    let bound = c.with_bound(&theta).unwrap();
-    let noise = NoiseModel::depolarizing(0.04, 0.06).with_readout_flip(0.03);
-    let obs = Observable::number(0, dims[0]);
     let cadence = 2;
     let guard = GuardConfig::enabled().with_cadence(cadence);
     let shots = 5;
-    for n in [1usize, 7, 40, 65, 130] {
-        let base = TrajectorySimulator::new(n).with_seed(77).with_noise(noise.clone());
-        let states = oracle_states(&base, &bound);
-        let expected_est = oracle_expectation(&states, &obs);
-        let expected_dist = oracle_distribution(&states);
-        let expected_counts = oracle_counts(&states, 77, shots, noise.readout_flip);
-        let steps = base.compile(&bound).unwrap().num_steps();
-        for threads in 1..=4 {
-            let sim = base.clone().with_threads(threads).with_guard(guard);
-            let ctx = format!("n = {n}, threads = {threads}");
-            let (est, health) = sim.expectation_detailed(&bound, &obs).unwrap();
-            assert_eq!((est.mean, est.std_error), expected_est, "{ctx}");
-            assert_eq!(health.checks_run, n * (steps / cadence + 1), "{ctx}: {health:?}");
-            assert_eq!(health.renormalizations, 0, "{ctx}");
-            let mut plan = sim.compile(&c).unwrap();
-            let dist = sim.outcome_distribution_bound(&mut plan, &theta).unwrap();
-            assert_eq!(dist, expected_dist, "{ctx}");
-            assert_eq!(sim.sample_counts(&bound, shots).unwrap(), expected_counts, "{ctx}");
+    for (input, (c, dims, noise, fusion)) in inputs.iter().enumerate() {
+        let bound = c.with_bound(&theta).unwrap();
+        let obs = Observable::number(0, dims[0]);
+        for n in [1usize, 7, 40, 65, 130] {
+            let base = TrajectorySimulator::new(n)
+                .with_seed(77)
+                .with_noise(noise.clone())
+                .with_fusion(fusion.clone());
+            let states = oracle_states(&base, &bound);
+            let expected_est = oracle_expectation(&states, &obs);
+            let expected_dist = oracle_distribution(&states);
+            let expected_counts = oracle_counts(&states, 77, shots, noise.readout_flip);
+            let steps = base.compile(&bound).unwrap().num_steps();
+            for threads in 1..=4 {
+                let sim = base.clone().with_threads(threads).with_guard(guard);
+                let ctx = format!("input {input}, n = {n}, threads = {threads}");
+                let (est, health) = sim.expectation_detailed(&bound, &obs).unwrap();
+                assert_eq!((est.mean, est.std_error), expected_est, "{ctx}");
+                assert_eq!(health.checks_run, n * (steps / cadence + 1), "{ctx}: {health:?}");
+                assert_eq!(health.renormalizations, 0, "{ctx}");
+                let mut plan = sim.compile(c).unwrap();
+                let dist = sim.outcome_distribution_bound(&mut plan, &theta).unwrap();
+                assert_eq!(dist, expected_dist, "{ctx}");
+                assert_eq!(sim.sample_counts(&bound, shots).unwrap(), expected_counts, "{ctx}");
+            }
         }
     }
 }
@@ -516,9 +553,11 @@ fn ensemble_rejects_mismatched_seeds_and_short_bindings() {
     let plan = sim.compile(&c).unwrap();
     assert!(plan.bind_batch(&[vec![0.1]]).is_err(), "short member bindings must be rejected");
     let batch = plan.bind_batch(&[vec![0.1, 0.2], vec![0.3, 0.4]]).unwrap();
-    let initial = qudit_core::QuditState::zero(dims).unwrap();
+    let mut wrong_dims = dims;
+    wrong_dims.push(2);
+    let initial = qudit_core::QuditState::zero(wrong_dims).unwrap();
     assert!(
-        sim.run_ensemble_seeded(&plan, &batch, &initial, &[1]).is_err(),
-        "seed/batch width mismatch must be rejected"
+        sim.run_ensemble_from(&plan, &batch, &initial).is_err(),
+        "an initial state on another register must be rejected"
     );
 }

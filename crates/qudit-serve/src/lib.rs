@@ -14,6 +14,10 @@
 //! topologies (including the same circuit under *different* parameter
 //! bindings) compile once and rebind per request.
 //!
+//! A worker pops one job at a time and every job takes the same execution
+//! path — plan lookup, rebind, one serial run under the job's own token and
+//! retry ladder — whether it was queued alone or behind same-plan mates.
+//!
 //! # Quickstart
 //!
 //! ```

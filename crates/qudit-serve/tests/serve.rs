@@ -293,8 +293,7 @@ fn exhausted_retry_budget_fails_the_job() {
 #[test]
 fn repeated_submissions_compile_once() {
     let engine = ServeEngine::start(ServeConfig::default().with_workers(1));
-    // Sequential round trips: the queue is empty at each submission, so no
-    // coalescing happens and every run consults the shared cache.
+    // Sequential round trips: every run consults the shared cache.
     for _ in 0..8 {
         expect_completed(engine.submit(JobSpec::statevector(fixed_circuit())).unwrap().wait());
     }
@@ -342,14 +341,14 @@ fn disabled_cache_compiles_per_request() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched (coalesced) ensemble execution.
+// Scheduling of queued same-plan jobs: each runs on its own.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn queued_same_plan_jobs_coalesce_into_one_ensemble_pass() {
+fn paused_same_plan_jobs_match_sequential_round_trips() {
     let thetas = [0.0, 0.4, 0.8, 1.2, 1.6];
-    // Batched engine: pause so all submissions queue up, then resume — the
-    // single worker pops one job and coalesces its same-plan queue-mates.
+    // Pause so all submissions queue up, then resume: the single worker
+    // pops and runs them one at a time.
     let engine = ServeEngine::start(ServeConfig::default().with_workers(1));
     engine.pause();
     let handles: Vec<_> = thetas
@@ -360,32 +359,28 @@ fn queued_same_plan_jobs_coalesce_into_one_ensemble_pass() {
                 .unwrap()
         })
         .collect();
-    // A structurally different job queued in between must not be swept in.
+    // A structurally different job queued behind them completes too.
     let density = engine.submit(JobSpec::density(fixed_circuit())).unwrap();
     engine.resume();
-    let batched: Vec<Vec<f64>> = handles.iter().map(|h| expect_completed(h.wait())).collect();
+    let queued: Vec<Vec<f64>> = handles.iter().map(|h| expect_completed(h.wait())).collect();
     expect_completed(density.wait());
-    let stats = engine.stats();
-    assert_eq!(stats.completed, 6);
-    assert_eq!(stats.batches, 1, "one ensemble pass for the five same-plan jobs");
-    assert_eq!(stats.batched_jobs, 5);
+    assert_eq!(engine.stats().completed, 6);
     engine.join();
 
-    // Serial reference engine: same submission order (so per-job seeds
-    // match), but sequential round trips keep every job on the serial path.
-    let serial = ServeEngine::start(ServeConfig::default().with_workers(1));
-    for (&theta, batched_values) in thetas.iter().zip(batched.iter()) {
-        let handle = serial
+    // Reference engine: same submission order (so per-job seeds match), but
+    // sequential round trips never find a queued mate.
+    let sequential = ServeEngine::start(ServeConfig::default().with_workers(1));
+    for (&theta, queued_values) in thetas.iter().zip(queued.iter()) {
+        let handle = sequential
             .submit(JobSpec::statevector(parameterized_circuit()).with_params(vec![theta]))
             .unwrap();
-        assert_eq!(&expect_completed(handle.wait()), batched_values, "theta = {theta}");
+        assert_eq!(&expect_completed(handle.wait()), queued_values, "theta = {theta}");
     }
-    assert_eq!(serial.stats().batched_jobs, 0);
-    serial.join();
+    sequential.join();
 }
 
 #[test]
-fn cancelled_member_drops_out_of_the_batch_without_affecting_mates() {
+fn cancelled_queued_job_resolves_cancelled_while_mates_complete() {
     let engine = ServeEngine::start(ServeConfig::default().with_workers(1));
     engine.pause();
     let handles: Vec<_> =
@@ -398,15 +393,14 @@ fn cancelled_member_drops_out_of_the_batch_without_affecting_mates() {
     assert_eq!(first, last, "identical specs must produce identical payloads");
     let stats = engine.stats();
     assert_eq!((stats.completed, stats.cancelled), (2, 1));
-    assert_eq!(stats.batched_jobs, 2, "the two live members still run as one pass");
     engine.join();
 }
 
 #[test]
-fn transient_batch_failures_fall_back_to_the_serial_retry_ladder() {
-    // A negative guard tolerance fails every column of the ensemble pass;
-    // each member must fall back to the serial path, whose retry ladder
-    // escalates the guard policy and completes the job.
+fn each_queued_failing_job_climbs_the_retry_ladder() {
+    // A negative guard tolerance fails every first attempt; each queued job
+    // retries on its own ladder, which escalates the guard policy and
+    // completes the job.
     let engine = ServeEngine::start(
         ServeConfig::default()
             .with_workers(1)
@@ -423,8 +417,7 @@ fn transient_batch_failures_fall_back_to_the_serial_retry_ladder() {
     }
     let stats = engine.stats();
     assert_eq!((stats.completed, stats.failed), (3, 0));
-    assert_eq!(stats.batched_jobs, 0, "failed columns must not count as batched");
-    assert_eq!(stats.retries, 3, "one serial escalation per member");
+    assert_eq!(stats.retries, 3, "one escalation per job");
     engine.join();
 }
 
