@@ -161,7 +161,7 @@ impl CompiledDensityCircuit {
 /// let again = sim.run_compiled(&compiled).unwrap();
 /// assert!((again.purity() - rho.purity()).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DensityMatrixSimulator {
     noise: NoiseModel,
     seed: u64,
@@ -170,6 +170,12 @@ pub struct DensityMatrixSimulator {
     threads: usize,
     guard: GuardConfig,
     cancel: Option<CancelToken>,
+}
+
+impl Default for DensityMatrixSimulator {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl DensityMatrixSimulator {
@@ -559,6 +565,16 @@ mod tests {
     use crate::gate::Gate;
     use crate::noise::KrausChannel;
     use qudit_core::metrics::trace_distance;
+
+    #[test]
+    fn default_simulator_samples_like_new() {
+        let mut c = Circuit::uniform(2, 3);
+        c.push(Gate::fourier(3), &[0]).unwrap();
+        c.push(Gate::fourier(3), &[1]).unwrap();
+        let from_default = DensityMatrixSimulator::default().sample_counts(&c, 200).unwrap();
+        let from_new = DensityMatrixSimulator::new().sample_counts(&c, 200).unwrap();
+        assert_eq!(from_default, from_new);
+    }
 
     #[test]
     fn noiseless_density_sim_matches_statevector() {

@@ -1,26 +1,31 @@
-//! Branch-prefix trajectory execution: one compiled-plan traversal over a
-//! chunk of stochastic trajectories.
+//! The pure-state executor: one compiled-plan traversal over a chunk of
+//! stochastic runs that share one binding.
 //!
-//! Trajectories share one binding, so deterministic steps batch across *all*
-//! live trajectories of a chunk as matrix–panel products over the interleaved
-//! panel of [`qudit_core::ensemble::EnsembleState`]. Shots are grouped by
-//! their Kraus-branch prefix: a group holds one panel column plus the member
-//! trajectories whose stochastic history is identical so far. At a stochastic
-//! event the group draws each member's branch from that member's own RNG
-//! (seeded per trajectory index, exactly as a single `run_single` trajectory
-//! is seeded), then splits lazily — the parent column is cloned *before* any
-//! branch operator touches it. Branch probabilities are computed once per
-//! group instead of once per trajectory, while per-member RNG streams keep
-//! every trajectory bitwise identical to its serial run.
+//! Deterministic steps batch across *all* live runs of a chunk as
+//! matrix–panel products over the interleaved panel of
+//! [`qudit_core::ensemble::EnsembleState`]. Runs are grouped by their
+//! Kraus-branch prefix: a group holds one panel column plus the member runs
+//! whose stochastic history is identical so far. At a stochastic event the
+//! group draws each member's branch from that member's own caller-owned RNG,
+//! then splits lazily — the parent column is cloned *before* any branch
+//! operator touches it. Branch probabilities are computed once per group
+//! instead of once per member, while per-member RNG streams keep every
+//! member bitwise identical to running it as a chunk of one.
 //!
-//! [`crate::sim::TrajectorySimulator`] is the only caller: it cuts the
-//! trajectories into chunks and fans the chunks out over the worker pool.
+//! Both pure-state simulators run here:
+//! [`crate::sim::StatevectorSimulator`] runs every shot, population column
+//! and served job as a one-member chunk, and
+//! [`crate::sim::TrajectorySimulator`] cuts its trajectories into chunks and
+//! fans the chunks out over the worker pool. A one-member chunk never splits,
+//! and every panel kernel falls back to its contiguous single-state twin at
+//! width 1, so a single run costs what a dedicated single-state loop would.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use qudit_core::apply::{ApplyPlan, OpKind};
 use qudit_core::cancel::CancelToken;
+use qudit_core::complex::Complex64;
 use qudit_core::ensemble::EnsembleState;
 use qudit_core::error::CoreError;
 use qudit_core::guard::{GuardConfig, HealthMonitor, RunHealth};
@@ -32,14 +37,164 @@ use qudit_core::Radix;
 use crate::error::{CircuitError, Result};
 use crate::sim::apply_readout_flip;
 use crate::sim::kernels::{BindBuffers, ChannelKernel, CircuitKernels, ExecStep, RunScratch};
-use crate::sim::statevector::power_of_shift;
 
-/// The simulator settings a trajectory chunk needs, passed explicitly so the
-/// executor stays decoupled from the simulator struct.
+/// The simulator settings a chunk needs, passed explicitly so the executor
+/// stays decoupled from the simulator structs.
 pub(crate) struct EnsembleConfig<'a> {
     pub guard: GuardConfig,
     pub cancel: Option<&'a CancelToken>,
     pub readout_flip: f64,
+}
+
+/// One recorded measurement: `(targets, observed digits after readout
+/// flip)`.
+pub(crate) type Record = (Vec<usize>, Vec<usize>);
+
+/// One branch-prefix group at the end of a chunk: the shared final state,
+/// the (ascending) member positions that followed this stochastic history,
+/// and the group's per-member health report (scale by the member count to
+/// aggregate).
+pub(crate) struct GroupOutcome {
+    pub state: QuditState,
+    pub members: Vec<usize>,
+    pub health: RunHealth,
+}
+
+/// Everything a chunk run leaves behind: its final groups and, per member
+/// position, the measurement records in program order.
+pub(crate) struct ChunkOutput {
+    pub groups: Vec<GroupOutcome>,
+    pub records: Vec<Vec<Record>>,
+}
+
+/// A live branch-prefix group during a chunk run. Group `g` owns panel
+/// column `g`: a split appends its new columns and their groups in the same
+/// order. `members` holds positions into the chunk's RNG slice (ascending),
+/// and `monitor` is the lineage's health monitor (cloned at splits, so each
+/// group carries the checks its members' single runs would have
+/// accumulated).
+struct Group {
+    members: Vec<usize>,
+    monitor: HealthMonitor,
+}
+
+/// Rejects an initial state whose register differs from the plan's.
+pub(crate) fn check_register(kernels: &CircuitKernels, initial: &QuditState) -> Result<()> {
+    if initial.radix().dims() != kernels.dims {
+        return Err(CircuitError::InvalidTargets(format!(
+            "initial state register {:?} does not match circuit register {:?}",
+            initial.radix().dims(),
+            kernels.dims
+        )));
+    }
+    Ok(())
+}
+
+/// Runs one member per RNG in `rngs` through a compiled plan from `initial`
+/// as a lazily splitting ensemble. Deterministic steps batch across all live
+/// columns; stochastic events compute branch probabilities once per *group*,
+/// draw each member's branch from its own RNG, and split the panel at
+/// divergence points. Each RNG is left where its member's stream ends, so a
+/// caller can keep drawing from it.
+///
+/// Any member's failure (guard trip, zero-mass branch) fails the whole
+/// chunk: a trajectory estimate has no meaning with a member missing.
+pub(crate) fn run_chunk(
+    cfg: &EnsembleConfig<'_>,
+    kernels: &CircuitKernels,
+    binds: &BindBuffers,
+    initial: &QuditState,
+    rngs: &mut [StdRng],
+) -> Result<ChunkOutput> {
+    let core = CircuitError::Core;
+    if rngs.is_empty() {
+        return Ok(ChunkOutput { groups: Vec::new(), records: Vec::new() });
+    }
+    check_register(kernels, initial)?;
+    if let Some(token) = cfg.cancel {
+        token.check(0).map_err(core)?;
+    }
+    let cadence = cfg.guard.cadence.max(1);
+    let mut ens = EnsembleState::from_state(initial);
+    let mut groups =
+        vec![Group { members: (0..rngs.len()).collect(), monitor: HealthMonitor::new(cfg.guard) }];
+    let mut records = vec![Vec::new(); rngs.len()];
+    let mut cursor = 0usize;
+    let mut scratch = RunScratch::default();
+
+    for (step_index, step) in kernels.steps.iter().enumerate() {
+        match step {
+            ExecStep::Apply { plan, kind, op, noise, .. } => {
+                let (kind, op) = binds.resolve(&mut cursor, step_index, kind, op);
+                let w = ens.width();
+                plan.apply_batched(kind, op, ens.data_mut(), w, &mut scratch.block)
+                    .map_err(core)?;
+                for channel in noise {
+                    channel_event(&mut ens, &mut groups, rngs, channel, &mut scratch)?;
+                }
+            }
+            ExecStep::Measure { targets } => {
+                measure_event(
+                    &mut ens,
+                    &mut groups,
+                    rngs,
+                    &mut records,
+                    targets,
+                    cfg.readout_flip,
+                )?;
+            }
+            ExecStep::Reset { target } => {
+                reset_event(&mut ens, &mut groups, rngs, *target, &mut scratch)?;
+            }
+            ExecStep::Channel(channel) => {
+                channel_event(&mut ens, &mut groups, rngs, channel, &mut scratch)?;
+            }
+            ExecStep::Barrier => {
+                for channel in &kernels.barrier_loss {
+                    channel_event(&mut ens, &mut groups, rngs, channel, &mut scratch)?;
+                }
+            }
+        }
+        #[cfg(feature = "fault-inject")]
+        qudit_core::guard::inject::apply_state_faults(step_index, ens.data_mut());
+        let w = ens.width();
+        for (col, group) in groups.iter_mut().enumerate() {
+            if group.monitor.due() {
+                group
+                    .monitor
+                    .check_statevector_col(step_index, ens.data_mut(), w, col)
+                    .map_err(core)?;
+            }
+        }
+        // Cooperative cancellation checkpoint, on the same cadence as the
+        // guard (after it, so a guard failure takes precedence at the shared
+        // boundary). Budget-armed tokens spend exactly one unit here per
+        // boundary, thread-count-invariantly.
+        if let Some(token) = cfg.cancel {
+            if (step_index + 1) % cadence == 0 {
+                token.check(step_index).map_err(core)?;
+            }
+        }
+    }
+    // A final checkpoint guarantees at least one check per guarded run and
+    // catches faults introduced after the last cadence boundary.
+    let w = ens.width();
+    for (col, group) in groups.iter_mut().enumerate() {
+        if group.monitor.is_enabled() {
+            group
+                .monitor
+                .check_statevector_col(kernels.steps.len(), ens.data_mut(), w, col)
+                .map_err(core)?;
+        }
+    }
+    let groups = ens
+        .into_states()
+        .map_err(core)?
+        .into_iter()
+        .zip(groups)
+        .map(|(state, g)| GroupOutcome { state, members: g.members, health: g.monitor.health() })
+        .collect();
+    Ok(ChunkOutput { groups, records })
 }
 
 /// Applies `op` to a single ensemble column through the **serial**
@@ -70,142 +225,12 @@ fn apply_col(
     Ok(())
 }
 
-/// One branch-prefix group at the end of a trajectory chunk: the shared
-/// final state, the (ascending) trajectory indices that followed this
-/// stochastic history, and the group's per-member health report (scale by
-/// the member count to aggregate).
-pub(crate) struct TrajGroupOutcome {
-    pub state: QuditState,
-    pub members: Vec<usize>,
-    pub health: RunHealth,
-}
-
-/// A live branch-prefix group during a chunk run: its panel column, its
-/// member positions (indices into the chunk's member list, ascending), and
-/// its lineage's health monitor (cloned at splits, so each group carries the
-/// checks its members' serial runs would have accumulated).
-struct Group {
-    col: usize,
-    members: Vec<usize>,
-    monitor: HealthMonitor,
-}
-
-/// Runs `members` (trajectory index, RNG seed) through a compiled plan as a
-/// lazily splitting ensemble. Deterministic steps batch across all live
-/// columns; stochastic events compute branch probabilities once per *group*,
-/// draw each member's branch from its own RNG (streams aligned draw-for-draw
-/// with a single-state run), and split the panel at divergence points.
-///
-/// Any member's failure (guard trip, zero-mass branch) fails the whole
-/// chunk: a trajectory estimate has no meaning with a member missing.
-pub(crate) fn run_trajectory_chunk(
-    cfg: &EnsembleConfig<'_>,
-    kernels: &CircuitKernels,
-    binds: &BindBuffers,
-    initial: &QuditState,
-    members: &[(usize, u64)],
-) -> Result<Vec<TrajGroupOutcome>> {
-    let core = CircuitError::Core;
-    if members.is_empty() {
-        return Ok(Vec::new());
-    }
-    if initial.radix().dims() != kernels.dims {
-        return Err(CircuitError::InvalidTargets(format!(
-            "initial state register {:?} does not match circuit register {:?}",
-            initial.radix().dims(),
-            kernels.dims
-        )));
-    }
-    if let Some(token) = cfg.cancel {
-        token.check(0).map_err(core)?;
-    }
-    let cadence = cfg.guard.cadence.max(1);
-    let mut ens = EnsembleState::from_state(initial, 1).map_err(core)?;
-    let mut groups = vec![Group {
-        col: 0,
-        members: (0..members.len()).collect(),
-        monitor: HealthMonitor::new(cfg.guard),
-    }];
-    let mut rngs: Vec<StdRng> =
-        members.iter().map(|&(_, seed)| StdRng::seed_from_u64(seed)).collect();
-    let mut cursor = 0usize;
-    let mut scratch = RunScratch::default();
-
-    for (step_index, step) in kernels.steps.iter().enumerate() {
-        match step {
-            ExecStep::Apply { plan, kind, op, noise, .. } => {
-                let (kind, op) = binds.resolve(&mut cursor, step_index, kind, op);
-                let w = ens.width();
-                plan.apply_batched(kind, op, ens.data_mut(), w, 0..w, &mut scratch.block)
-                    .map_err(core)?;
-                for channel in noise {
-                    channel_event(&mut ens, &mut groups, &mut rngs, channel, &mut scratch)?;
-                }
-            }
-            ExecStep::Measure { targets } => {
-                trajectory_measure_event(
-                    &mut ens,
-                    &mut groups,
-                    &mut rngs,
-                    targets,
-                    cfg.readout_flip,
-                )?;
-            }
-            ExecStep::Reset { target } => {
-                trajectory_reset_event(&mut ens, &mut groups, &mut rngs, *target, &mut scratch)?;
-            }
-            ExecStep::Channel(channel) => {
-                channel_event(&mut ens, &mut groups, &mut rngs, channel, &mut scratch)?;
-            }
-            ExecStep::Barrier => {
-                for channel in &kernels.barrier_loss {
-                    channel_event(&mut ens, &mut groups, &mut rngs, channel, &mut scratch)?;
-                }
-            }
-        }
-        #[cfg(feature = "fault-inject")]
-        qudit_core::guard::inject::apply_state_faults(step_index, ens.data_mut());
-        let w = ens.width();
-        for group in groups.iter_mut() {
-            if group.monitor.due() {
-                group
-                    .monitor
-                    .check_statevector_col(step_index, ens.data_mut(), w, group.col)
-                    .map_err(core)?;
-            }
-        }
-        if let Some(token) = cfg.cancel {
-            if (step_index + 1) % cadence == 0 {
-                token.check(step_index).map_err(core)?;
-            }
-        }
-    }
-    let w = ens.width();
-    for group in groups.iter_mut() {
-        if group.monitor.is_enabled() {
-            group
-                .monitor
-                .check_statevector_col(kernels.steps.len(), ens.data_mut(), w, group.col)
-                .map_err(core)?;
-        }
-    }
-    groups
-        .into_iter()
-        .map(|g| {
-            Ok(TrajGroupOutcome {
-                state: ens.column_state(g.col).map_err(core)?,
-                members: g.members.iter().map(|&i| members[i].0).collect(),
-                health: g.monitor.health(),
-            })
-        })
-        .collect()
-}
-
 /// Splits `groups[gi]` by per-member branch `choices` (parallel to its member
 /// list). The parent column is cloned for every selected branch beyond the
 /// first **before** `apply` touches any copy — the branch-prefix splitting
-/// rule that keeps every column's history exactly one serial trajectory's.
-/// `apply(ens, column, branch)` then finalises each branch column.
+/// rule that keeps every column's history exactly one single run's.
+/// `apply(ens, column, branch)` then finalises each branch column. A group
+/// whose members all chose one branch stays whole.
 fn split_group(
     ens: &mut EnsembleState,
     groups: &mut Vec<Group>,
@@ -214,34 +239,54 @@ fn split_group(
     n_branches: usize,
     mut apply: impl FnMut(&mut EnsembleState, usize, usize) -> Result<()>,
 ) -> Result<()> {
-    let col = groups[gi].col;
+    if let Some(&first) = choices.first() {
+        if choices.iter().all(|&k| k == first) {
+            return apply(ens, gi, first);
+        }
+    }
     let mut by_branch: Vec<Vec<usize>> = vec![Vec::new(); n_branches];
     for (&m, &k) in groups[gi].members.iter().zip(choices) {
         by_branch[k].push(m);
     }
     let selected: Vec<usize> = (0..n_branches).filter(|&k| !by_branch[k].is_empty()).collect();
-    let mut branch_cols = vec![col];
+    let mut branch_cols = vec![gi];
     for _ in 1..selected.len() {
-        branch_cols.push(ens.push_clone_of(col));
+        branch_cols.push(ens.push_clone_of(gi));
     }
     for (&bc, &k) in branch_cols.iter().zip(selected.iter()) {
         apply(ens, bc, k)?;
     }
     groups[gi].members = std::mem::take(&mut by_branch[selected[0]]);
     let monitor = groups[gi].monitor.clone();
-    for (&bc, &k) in branch_cols.iter().zip(selected.iter()).skip(1) {
-        groups.push(Group {
-            col: bc,
-            members: std::mem::take(&mut by_branch[k]),
-            monitor: monitor.clone(),
-        });
+    for &k in selected.iter().skip(1) {
+        groups.push(Group { members: std::mem::take(&mut by_branch[k]), monitor: monitor.clone() });
     }
     Ok(())
 }
 
+/// Selects a Kraus branch for one uniform draw `r ∈ [0, 1)` from branch
+/// weights summing to `total`, matching the [`Cdf`] contract:
+/// zero-probability branches are never selected, and rounding at the top
+/// edge (`r` within one ulp of the total) falls back to the last *positive*
+/// branch rather than the last branch unconditionally.
+fn select_branch(probs: &[f64], total: f64, r: f64) -> Option<usize> {
+    let mut r = r * total;
+    let mut selected = None;
+    for (k, &p) in probs.iter().enumerate() {
+        if p <= 0.0 {
+            continue;
+        }
+        selected = Some(k);
+        if r < p {
+            break;
+        }
+        r -= p;
+    }
+    selected
+}
+
 /// A Kraus channel event over every live group: probabilities once per
-/// group, one draw per member (stream-aligned with the serial loop), lazy
-/// panel splits at divergence.
+/// group, one draw per member, lazy panel splits at divergence.
 fn channel_event(
     ens: &mut EnsembleState,
     groups: &mut Vec<Group>,
@@ -252,54 +297,46 @@ fn channel_event(
     let core = CircuitError::Core;
     let ops = kernel.channel.operators();
     // Unitary channel: deterministic, so it batches across the whole panel —
-    // no draws, no renormalisation, no splits (serial fast path likewise).
+    // no draws, no renormalisation, no splits.
     if ops.len() == 1 {
         let w = ens.width();
         kernel
             .plan
-            .apply_batched(&kernel.kinds[0], &ops[0], ens.data_mut(), w, 0..w, &mut scratch.block)
+            .apply_batched(&kernel.kinds[0], &ops[0], ens.data_mut(), w, &mut scratch.block)
             .map_err(core)?;
         return Ok(());
     }
     let n_groups = groups.len();
     for gi in 0..n_groups {
-        let col = groups[gi].col;
         let w = ens.width();
         scratch.branch_probs.clear();
         for (op, kind) in ops.iter().zip(kernel.kinds.iter()) {
             let p = kernel
                 .plan
-                .norm_sqr_after_col(kind, op, ens.data(), w, col, &mut scratch.block)
+                .norm_sqr_after_col(kind, op, ens.data(), w, gi, &mut scratch.block)
                 .map_err(core)?;
             scratch.branch_probs.push(p);
         }
         let total: f64 = scratch.branch_probs.iter().sum();
         if total <= 0.0 || total.is_nan() {
+            // All branch norms vanish only for a zero state (Kraus channels
+            // are trace-preserving).
             return Err(core(CoreError::InvalidProbability(
                 "channel branch probabilities carry no mass (zero state)".into(),
             )));
         }
-        let mut choices = Vec::with_capacity(groups[gi].members.len());
-        for &m in &groups[gi].members {
-            // One `gen::<f64>()` per member, exactly as the serial channel
-            // unravelling draws it; the scan below replicates the serial
-            // selection (zero-probability branches skipped, top-edge
-            // rounding falls back to the last positive branch).
-            let mut r: f64 = rngs[m].gen::<f64>();
-            r *= total;
-            let mut selected = None;
-            for (k, &p) in scratch.branch_probs.iter().enumerate() {
-                if p <= 0.0 {
-                    continue;
-                }
-                selected = Some(k);
-                if r < p {
-                    break;
-                }
-                r -= p;
-            }
-            choices.push(selected.expect("a positive total implies a positive branch"));
-        }
+        // One `gen::<f64>()` per member; a positive total implies a positive
+        // branch, so the selection always succeeds.
+        let choices: Vec<usize> = groups[gi]
+            .members
+            .iter()
+            .map(|&m| select_branch(&scratch.branch_probs, total, rngs[m].gen::<f64>()))
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                core(CoreError::InvalidProbability(
+                    "channel branch probabilities carry no mass".into(),
+                ))
+            })?;
         split_group(ens, groups, gi, &choices, ops.len(), |ens, bc, k| {
             apply_col(&kernel.plan, &kernel.kinds[k], &ops[k], ens, bc, &mut *scratch)
                 .map_err(core)?;
@@ -309,14 +346,30 @@ fn channel_event(
     Ok(())
 }
 
-/// A mid-circuit measurement over every live group. Outcome draws and
-/// readout-flip draws are consumed per member to keep RNG streams aligned
-/// with a single-state run; measurement records themselves are not retained
-/// (trajectory consumers fold final states only).
-fn trajectory_measure_event(
+/// The outcome draw of a measurement or reset: one
+/// [`Cdf::try_draw`] from the member's stream over the group's marginal.
+fn draw_outcome(cdf: &Cdf, rng: &mut StdRng) -> Result<usize> {
+    cdf.try_draw(rng).ok_or_else(|| {
+        CircuitError::Core(CoreError::InvalidProbability(
+            "measurement targets carry no probability mass (zero state)".into(),
+        ))
+    })
+}
+
+/// The target marginal of group column `col`.
+fn marginal_cdf(plan: &ApplyPlan, data: &[Complex64], width: usize, col: usize) -> Cdf {
+    Cdf::from_weights(plan.marginal_probabilities_strided(data, width, col, |z| z.norm_sqr()))
+}
+
+/// A mid-circuit measurement over every live group. Each member draws its
+/// outcome and then its readout-flip draws from its own stream, and records
+/// `(targets, flipped digits)`; the group splits by the drawn (unflipped)
+/// outcome.
+fn measure_event(
     ens: &mut EnsembleState,
     groups: &mut Vec<Group>,
     rngs: &mut [StdRng],
+    records: &mut [Vec<Record>],
     targets: &[usize],
     readout_flip: f64,
 ) -> Result<()> {
@@ -327,19 +380,13 @@ fn trajectory_measure_event(
     let target_radix = Radix::new(target_dims.clone()).map_err(core)?;
     let n_groups = groups.len();
     for gi in 0..n_groups {
-        let col = groups[gi].col;
-        let w = ens.width();
-        let probs = plan.marginal_probabilities_strided(ens.data(), w, col, |z| z.norm_sqr());
-        let cdf = Cdf::from_weights(probs);
+        let cdf = marginal_cdf(&plan, ens.data(), ens.width(), gi);
         let mut choices = Vec::with_capacity(groups[gi].members.len());
         for &m in &groups[gi].members {
-            let outcome = cdf.try_draw(&mut rngs[m]).ok_or_else(|| {
-                core(CoreError::InvalidProbability(
-                    "measurement targets carry no probability mass (zero state)".into(),
-                ))
-            })?;
+            let outcome = draw_outcome(&cdf, &mut rngs[m])?;
             let mut digits = target_radix.digits_of(outcome).map_err(core)?;
             apply_readout_flip(&mut digits, &target_dims, readout_flip, &mut rngs[m]);
+            records[m].push((targets.to_vec(), digits));
             choices.push(outcome);
         }
         split_group(ens, groups, gi, &choices, plan.sub_dim(), |ens, bc, outcome| {
@@ -353,7 +400,7 @@ fn trajectory_measure_event(
 
 /// A reset over every live group: measure the target (one draw per member),
 /// split by observed level, rotate each branch column back to `|0⟩`.
-fn trajectory_reset_event(
+fn reset_event(
     ens: &mut EnsembleState,
     groups: &mut Vec<Group>,
     rngs: &mut [StdRng],
@@ -366,19 +413,12 @@ fn trajectory_reset_event(
     let d = radix.dims()[target];
     let n_groups = groups.len();
     for gi in 0..n_groups {
-        let col = groups[gi].col;
-        let w = ens.width();
-        let probs = plan.marginal_probabilities_strided(ens.data(), w, col, |z| z.norm_sqr());
-        let cdf = Cdf::from_weights(probs);
-        let mut choices = Vec::with_capacity(groups[gi].members.len());
-        for &m in &groups[gi].members {
-            let level = cdf.try_draw(&mut rngs[m]).ok_or_else(|| {
-                core(CoreError::InvalidProbability(
-                    "measurement targets carry no probability mass (zero state)".into(),
-                ))
-            })?;
-            choices.push(level);
-        }
+        let cdf = marginal_cdf(&plan, ens.data(), ens.width(), gi);
+        let choices = groups[gi]
+            .members
+            .iter()
+            .map(|&m| draw_outcome(&cdf, &mut rngs[m]))
+            .collect::<Result<Vec<_>>>()?;
         split_group(ens, groups, gi, &choices, d, |ens, bc, level| {
             let w = ens.width();
             plan.collapse_col(ens.data_mut(), w, bc, level);
@@ -392,4 +432,35 @@ fn trajectory_reset_event(
         })?;
     }
     Ok(())
+}
+
+/// `X^k` for the generalised shift, used to un-compute reset outcomes.
+/// `X^k` maps `|c⟩ → |c + k mod d⟩`, so it is constructed directly as the
+/// index permutation rather than by `k` repeated O(d³) matrix products.
+fn power_of_shift(d: usize, k: usize) -> CMatrix {
+    let mut m = CMatrix::zeros(d, d);
+    for c in 0..d {
+        m[((c + k) % d, c)] = Complex64::ONE;
+    }
+    m
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn power_of_shift_matches_repeated_multiplication() {
+        for d in [2usize, 3, 5] {
+            for k in 0..=d + 1 {
+                let x = crate::gates::shift_x(d);
+                let mut expected = CMatrix::identity(d);
+                for _ in 0..(k % d) {
+                    expected = x.matmul(&expected).unwrap();
+                }
+                let direct = power_of_shift(d, k);
+                assert!((&direct - &expected).max_abs() < 1e-15, "d = {d}, k = {k}");
+            }
+        }
+    }
 }

@@ -18,6 +18,13 @@
 //! precomputed once and reused across shots and trajectories. Use
 //! [`StatevectorSimulator::compile`] to hold on to the plan across calls.
 //!
+//! Two step loops execute plans. The pure-state executor (`sim::ensemble`)
+//! runs a chunk of stochastic runs as one lazily splitting panel;
+//! [`StatevectorSimulator`] runs every shot, population column and served
+//! job through it as a one-member chunk, and [`TrajectorySimulator`] runs
+//! its trajectories through it in chunks of up to 64. The density-matrix
+//! back-end has its own loop over vectorised ρ.
+//!
 //! The density-matrix back-end re-compiles the shared plan one step further:
 //! every channel whose superoperator `Σ K ⊗ conj(K)` is profitable executes
 //! as a single strided sweep over vectorised ρ (see [`qudit_core::superop`]),
@@ -51,90 +58,6 @@ pub use qudit_core::cancel::{CancelReason, CancelToken};
 
 use rand::Rng;
 
-use qudit_core::state::QuditState;
-
-use crate::error::Result;
-use crate::noise::KrausChannel;
-use kernels::{ChannelKernel, RunScratch};
-
-/// Applies a Kraus channel to a pure state stochastically (quantum-trajectory
-/// unraveling): Kraus operator `K_k` is selected with probability
-/// `‖K_k|ψ⟩‖²` and the state renormalised.
-///
-/// Returns the index of the selected Kraus operator.
-///
-/// # Errors
-/// Returns an error if targets or dimensions are invalid.
-pub fn apply_channel_stochastic<R: Rng + ?Sized>(
-    state: &mut QuditState,
-    channel: &KrausChannel,
-    targets: &[usize],
-    rng: &mut R,
-) -> Result<usize> {
-    let kernel = ChannelKernel::new(state.radix(), channel.clone(), targets.to_vec())?;
-    apply_channel_prepared(state, &kernel, rng, &mut RunScratch::default())
-}
-
-/// [`apply_channel_stochastic`] through a precompiled [`ChannelKernel`]:
-/// branch probabilities `‖K_k|ψ⟩‖²` are computed in place (no per-branch
-/// state clones), and only the selected operator is applied.
-pub(crate) fn apply_channel_prepared<R: Rng + ?Sized>(
-    state: &mut QuditState,
-    kernel: &ChannelKernel,
-    rng: &mut R,
-    scratch: &mut RunScratch,
-) -> Result<usize> {
-    let core = crate::error::CircuitError::Core;
-    let ops = kernel.channel.operators();
-    // Fast path: unitary channel (single Kraus operator).
-    if ops.len() == 1 {
-        state
-            .apply_prepared(&kernel.plan, &kernel.kinds[0], &ops[0], &mut scratch.block)
-            .map_err(core)?;
-        return Ok(0);
-    }
-    let mut r: f64 = rng.gen::<f64>();
-    scratch.branch_probs.clear();
-    for (op, kind) in ops.iter().zip(kernel.kinds.iter()) {
-        let p = kernel
-            .plan
-            .norm_sqr_after(kind, op, state.amplitudes(), &mut scratch.block)
-            .map_err(core)?;
-        scratch.branch_probs.push(p);
-    }
-    let total: f64 = scratch.branch_probs.iter().sum();
-    if total <= 0.0 || total.is_nan() {
-        // All branch norms vanish only for a zero state (Kraus channels are
-        // trace-preserving); selecting the last branch regardless — the old
-        // behaviour — applied a zero-probability operator.
-        return Err(core(qudit_core::error::CoreError::InvalidProbability(
-            "channel branch probabilities carry no mass (zero state)".into(),
-        )));
-    }
-    r *= total;
-    // Linear scan matching the Cdf contract: zero-probability branches are
-    // never selected, and rounding at the top edge (r within one ulp of the
-    // total) falls back to the last *positive* branch rather than the last
-    // branch unconditionally.
-    let mut selected = None;
-    for (k, &p) in scratch.branch_probs.iter().enumerate() {
-        if p <= 0.0 {
-            continue;
-        }
-        selected = Some(k);
-        if r < p {
-            break;
-        }
-        r -= p;
-    }
-    let k = selected.expect("a positive total implies a positive branch");
-    state
-        .apply_prepared(&kernel.plan, &kernel.kinds[k], &ops[k], &mut scratch.block)
-        .map_err(core)?;
-    state.normalize().map_err(core)?;
-    Ok(k)
-}
-
 /// Applies classical readout error to a measured digit string: each digit is
 /// replaced by a uniformly random *different* level with probability `p_flip`.
 pub fn apply_readout_flip<R: Rng + ?Sized>(
@@ -161,18 +84,23 @@ pub fn apply_readout_flip<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Circuit;
     use crate::noise::KrausChannel;
+    use qudit_core::state::QuditState;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn stochastic_channel_preserves_normalisation() {
         let ch = KrausChannel::photon_loss(4, 0.3).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut state = QuditState::basis(vec![4, 4], &[3, 2]).unwrap();
-        for _ in 0..20 {
-            apply_channel_stochastic(&mut state, &ch, &[0], &mut rng).unwrap();
-            assert!((state.norm() - 1.0).abs() < 1e-10);
+        let initial = QuditState::basis(vec![4, 4], &[3, 2]).unwrap();
+        for len in 1..=20 {
+            let mut c = Circuit::uniform(2, 4);
+            for _ in 0..len {
+                c.push_channel(ch.clone(), &[0]).unwrap();
+            }
+            let out = StatevectorSimulator::with_seed(len).run_from(&c, &initial).unwrap();
+            assert!((out.state.norm() - 1.0).abs() < 1e-10, "{len} channels");
         }
     }
 
@@ -183,13 +111,14 @@ mod tests {
         let gamma = 0.4;
         let ch = KrausChannel::photon_loss(d, gamma).unwrap();
         let n_op = crate::gates::number_operator(d);
-        let mut rng = StdRng::seed_from_u64(7);
+        let initial = QuditState::basis(vec![d], &[3]).unwrap();
+        let mut c = Circuit::uniform(1, d);
+        c.push_channel(ch, &[0]).unwrap();
         let n_traj = 3000;
         let mut acc = 0.0;
-        for _ in 0..n_traj {
-            let mut state = QuditState::basis(vec![d], &[3]).unwrap();
-            apply_channel_stochastic(&mut state, &ch, &[0], &mut rng).unwrap();
-            acc += state.expectation(&n_op, &[0]).unwrap().re;
+        for t in 0..n_traj {
+            let out = StatevectorSimulator::with_seed(7 + t).run_from(&c, &initial).unwrap();
+            acc += out.state.expectation(&n_op, &[0]).unwrap().re;
         }
         let mean = acc / n_traj as f64;
         assert!((mean - 3.0 * (1.0 - gamma)).abs() < 0.1);

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use qudit_core::cancel::CancelToken;
 use qudit_core::error::CoreError;
-use qudit_core::guard::{GuardConfig, HealthMonitor, RunHealth};
+use qudit_core::guard::{GuardConfig, RunHealth};
 use qudit_core::par;
 use qudit_core::state::QuditState;
 
@@ -16,9 +16,10 @@ use crate::circuit::{Circuit, Instruction};
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
+use crate::sim::apply_readout_flip;
+use crate::sim::ensemble::{check_register, run_chunk, ChunkOutput, EnsembleConfig};
 use crate::sim::fusion::{FusionConfig, FusionStats};
-use crate::sim::kernels::{BindBuffers, CircuitKernels, ExecStep, RunScratch};
-use crate::sim::{apply_channel_prepared, apply_readout_flip};
+use crate::sim::kernels::{BindBuffers, CircuitKernels};
 
 /// Output of a state-vector run: the final state and any recorded
 /// measurement outcomes (in program order).
@@ -393,9 +394,9 @@ impl StatevectorSimulator {
     /// Runs a population of bindings through one compiled plan from
     /// `|0...0⟩` (see [`CompiledCircuit::bind_batch`]). Columns are
     /// independent jobs on the worker pool: each binds its own member and
-    /// runs the serial step loop, so column `b`'s output is bitwise
-    /// identical to `run_bound` on binding `b` — same state, same
-    /// measurement records, same health report — at any thread count.
+    /// runs it alone, so column `b`'s output is bitwise identical to
+    /// `run_bound` on binding `b` — same state, same measurement records,
+    /// same health report — at any thread count.
     ///
     /// Returns one `Result<RunOutput>` per column. Column-local failures
     /// (guard trips, zero-mass measurements) fail only their column;
@@ -482,36 +483,25 @@ impl StatevectorSimulator {
     /// Returns an error if the initial state register differs from the
     /// circuit's or an instruction is invalid.
     pub fn run_from(&self, circuit: &Circuit, initial: &QuditState) -> Result<RunOutput> {
-        self.run_from_with_rng(circuit, initial, &mut StdRng::seed_from_u64(self.seed))
-    }
-
-    /// Runs the circuit from an arbitrary initial state using a caller-owned
-    /// random number generator (used by the trajectory simulator to vary the
-    /// seed per trajectory).
-    ///
-    /// # Errors
-    /// Returns an error if the initial state register differs from the
-    /// circuit's or an instruction is invalid.
-    pub fn run_from_with_rng(
-        &self,
-        circuit: &Circuit,
-        initial: &QuditState,
-        rng: &mut StdRng,
-    ) -> Result<RunOutput> {
         let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.run_prepared(&kernels, &BindBuffers::default(), initial, rng)
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        self.run_prepared(&kernels, &BindBuffers::default(), initial, &mut rng)
     }
 
-    /// Runs a compiled execution plan, the shared path behind every shot and
-    /// trajectory loop: fused superblocks, stride plans, operator
-    /// classifications and noise channels are reused, and one scratch buffer
-    /// serves the whole run.
+    /// Runs a compiled execution plan from `initial`, the shared path behind
+    /// every run, shot and population column: the plan's fused superblocks,
+    /// stride plans, operator classifications and noise channels are reused,
+    /// and every stochastic draw comes from `rng`, which is left where the
+    /// run's stream ends (shot sampling keeps drawing from it).
     ///
-    /// The plan may be a wire-local re-ordering of the source circuit (a
-    /// fused block disjoint from a measurement can execute after it — see
-    /// [`crate::sim::fusion`]); steps are simply executed in plan order, and
-    /// the disjoint-support commutation argument guarantees identical
-    /// measurement distributions and aligned RNG streams.
+    /// The run is a one-member chunk of the pure-state executor (see
+    /// `sim::ensemble`), the same executor that runs trajectory chunks; it
+    /// returns that member's final state, measurement records and health
+    /// report. The plan may be a wire-local re-ordering of the source
+    /// circuit (a fused block disjoint from a measurement can execute after
+    /// it — see [`crate::sim::fusion`]); steps are simply executed in plan
+    /// order, and the disjoint-support commutation argument guarantees
+    /// identical measurement distributions and aligned RNG streams.
     ///
     /// Parameter-dependent steps resolve their operator through `binds` (the
     /// per-request overlay); pass an empty overlay for the compile-time
@@ -523,81 +513,21 @@ impl StatevectorSimulator {
         initial: &QuditState,
         rng: &mut StdRng,
     ) -> Result<RunOutput> {
-        check_register(kernels, initial)?;
-        if let Some(token) = &self.cancel {
-            token.check(0).map_err(CircuitError::Core)?;
-        }
-        let cadence = self.guard.cadence.max(1);
-        let mut state = initial.clone();
-        let mut measurements = Vec::new();
-        let mut scratch = RunScratch::default();
-        let dims = &kernels.dims;
-        let mut monitor = HealthMonitor::new(self.guard);
-        let mut bind_cursor = 0usize;
-
-        for (step_index, step) in kernels.steps.iter().enumerate() {
-            match step {
-                ExecStep::Apply { plan, kind, op, noise, .. } => {
-                    let (kind, op) = binds.resolve(&mut bind_cursor, step_index, kind, op);
-                    state
-                        .apply_prepared(plan, kind, op, &mut scratch.block)
-                        .map_err(CircuitError::Core)?;
-                    for channel in noise {
-                        apply_channel_prepared(&mut state, channel, rng, &mut scratch)?;
-                    }
-                }
-                ExecStep::Measure { targets } => {
-                    let mut outcome = state.measure(targets, rng).map_err(CircuitError::Core)?;
-                    let target_dims: Vec<usize> = targets.iter().map(|&t| dims[t]).collect();
-                    apply_readout_flip(&mut outcome, &target_dims, self.noise.readout_flip, rng);
-                    measurements.push((targets.clone(), outcome));
-                }
-                ExecStep::Reset { target } => {
-                    let outcome = state.measure(&[*target], rng).map_err(CircuitError::Core)?;
-                    // Rotate the observed level back to |0⟩ with a shift gate.
-                    let level = outcome[0];
-                    if level != 0 {
-                        let d = dims[*target];
-                        let shift_back = power_of_shift(d, d - level);
-                        state
-                            .apply_operator(&shift_back, &[*target])
-                            .map_err(CircuitError::Core)?;
-                    }
-                }
-                ExecStep::Channel(channel) => {
-                    apply_channel_prepared(&mut state, channel, rng, &mut scratch)?;
-                }
-                ExecStep::Barrier => {
-                    for channel in &kernels.barrier_loss {
-                        apply_channel_prepared(&mut state, channel, rng, &mut scratch)?;
-                    }
-                }
-            }
-            #[cfg(feature = "fault-inject")]
-            qudit_core::guard::inject::apply_state_faults(step_index, state.amplitudes_mut());
-            if monitor.due() {
-                monitor
-                    .check_statevector(step_index, state.amplitudes_mut())
-                    .map_err(CircuitError::Core)?;
-            }
-            // Cooperative cancellation checkpoint, on the same cadence as the
-            // guard (after it, so a guard failure takes precedence at the
-            // shared boundary). Budget-armed tokens spend exactly one unit
-            // here per boundary, thread-count-invariantly.
-            if let Some(token) = &self.cancel {
-                if (step_index + 1) % cadence == 0 {
-                    token.check(step_index).map_err(CircuitError::Core)?;
-                }
-            }
-        }
-        // A final checkpoint guarantees at least one check per guarded run
-        // and catches faults introduced after the last cadence boundary.
-        if monitor.is_enabled() {
-            monitor
-                .check_statevector(kernels.steps.len(), state.amplitudes_mut())
-                .map_err(CircuitError::Core)?;
-        }
-        Ok(RunOutput { state, measurements, health: monitor.health() })
+        let cfg = EnsembleConfig {
+            guard: self.guard,
+            cancel: self.cancel.as_ref(),
+            readout_flip: self.noise.readout_flip,
+        };
+        let ChunkOutput { groups, records } =
+            run_chunk(&cfg, kernels, binds, initial, std::slice::from_mut(rng))?;
+        let measurements = records.into_iter().flatten().collect();
+        groups
+            .into_iter()
+            .next()
+            .map(|group| RunOutput { state: group.state, measurements, health: group.health })
+            .ok_or_else(|| {
+                CircuitError::Unsupported("a one-member run ended without a final state".into())
+            })
     }
 
     /// Samples `shots` end-of-circuit computational-basis measurements.
@@ -702,29 +632,6 @@ impl StatevectorSimulator {
                 )
             })
     }
-}
-
-/// Rejects an initial state whose register differs from the plan's.
-fn check_register(kernels: &CircuitKernels, initial: &QuditState) -> Result<()> {
-    if initial.radix().dims() != kernels.dims {
-        return Err(CircuitError::InvalidTargets(format!(
-            "initial state register {:?} does not match circuit register {:?}",
-            initial.radix().dims(),
-            kernels.dims
-        )));
-    }
-    Ok(())
-}
-
-/// `X^k` for the generalised shift, used to un-compute reset outcomes.
-/// `X^k` maps `|c⟩ → |c + k mod d⟩`, so it is constructed directly as the
-/// index permutation rather than by `k` repeated O(d³) matrix products.
-pub(crate) fn power_of_shift(d: usize, k: usize) -> qudit_core::matrix::CMatrix {
-    let mut m = qudit_core::matrix::CMatrix::zeros(d, d);
-    for c in 0..d {
-        m[((c + k) % d, c)] = qudit_core::complex::Complex64::ONE;
-    }
-    m
 }
 
 #[cfg(test)]
@@ -833,21 +740,6 @@ mod tests {
         let counts = sim.sample_counts(&c, 5000).unwrap();
         let ones = counts.get(&vec![1usize]).copied().unwrap_or(0) as f64 / 5000.0;
         assert!((ones - 0.3).abs() < 0.03);
-    }
-
-    #[test]
-    fn power_of_shift_matches_repeated_multiplication() {
-        for d in [2usize, 3, 5] {
-            for k in 0..=d + 1 {
-                let x = crate::gates::shift_x(d);
-                let mut expected = qudit_core::matrix::CMatrix::identity(d);
-                for _ in 0..(k % d) {
-                    expected = x.matmul(&expected).unwrap();
-                }
-                let direct = power_of_shift(d, k);
-                assert!((&direct - &expected).max_abs() < 1e-15, "d = {d}, k = {k}");
-            }
-        }
     }
 
     #[test]

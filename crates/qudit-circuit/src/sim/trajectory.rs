@@ -36,7 +36,7 @@ use crate::circuit::Circuit;
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
-use crate::sim::ensemble::{run_trajectory_chunk, EnsembleConfig};
+use crate::sim::ensemble::{run_chunk, EnsembleConfig};
 use crate::sim::fusion::FusionConfig;
 use crate::sim::kernels::{BindBuffers, CircuitKernels};
 use crate::sim::statevector::{CompiledCircuit, StatevectorSimulator};
@@ -222,19 +222,24 @@ impl TrajectorySimulator {
         let threads = self.resolved_threads().max(1);
         let width = MAX_CHUNK.min(n.div_ceil(threads));
         let n_chunks = n.div_ceil(width);
-        let run_chunk = |chunk: usize| {
-            let members: Vec<(usize, u64)> = (chunk * width..n.min((chunk + 1) * width))
-                .map(|t| (t, self.traj_seed(t)))
+        let run_one_chunk = |chunk: usize| {
+            let start = chunk * width;
+            let mut rngs: Vec<StdRng> = (start..n.min(start + width))
+                .map(|t| StdRng::seed_from_u64(self.traj_seed(t)))
                 .collect();
-            run_trajectory_chunk(&cfg, kernels, binds, &initial, &members)?
+            run_chunk(&cfg, kernels, binds, &initial, &mut rngs)?
+                .groups
                 .into_iter()
-                .map(|g| Ok((group_f(&g.state)?, g.members, g.health)))
+                .map(|g| {
+                    let members = g.members.iter().map(|&m| start + m).collect::<Vec<_>>();
+                    Ok((group_f(&g.state)?, members, g.health))
+                })
                 .collect::<Result<Vec<_>>>()
         };
         let mut health = RunHealth::default();
         for wave in (0..n_chunks).step_by(threads) {
             let len = threads.min(n_chunks - wave);
-            let run_wave = |i: usize| run_chunk(wave + i);
+            let run_wave = |i: usize| run_one_chunk(wave + i);
             let (chunks, retries) = match &self.cancel {
                 Some(token) => {
                     // Between-wave checkpoint: a long ensemble stops within
@@ -450,7 +455,8 @@ impl TrajectorySimulator {
     }
 
     /// Runs a single trajectory with an index-derived seed, under this
-    /// simulator's noise model, fusion config, guard and cancel token.
+    /// simulator's noise model, fusion config, guard and cancel token: a
+    /// [`StatevectorSimulator`] run seeded with the trajectory's seed.
     ///
     /// # Errors
     /// Returns an error for invalid instructions.
@@ -462,9 +468,7 @@ impl TrajectorySimulator {
         if let Some(token) = &self.cancel {
             sv = sv.with_cancel(token.clone());
         }
-        let initial = QuditState::zero(circuit.dims().to_vec()).map_err(CircuitError::Core)?;
-        let mut rng = StdRng::seed_from_u64(self.traj_seed(index));
-        Ok(sv.run_from_with_rng(circuit, &initial, &mut rng)?.state)
+        Ok(sv.run_detailed(circuit)?.state)
     }
 
     fn traj_seed(&self, index: usize) -> u64 {

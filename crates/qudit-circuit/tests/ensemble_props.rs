@@ -2,10 +2,15 @@
 //! run through `run_ensemble` must be **bitwise identical**, column for
 //! column, to the serial `run_bound` loop — states, measurement records, and
 //! guard health reports alike — and the chunked branch-prefix trajectory
-//! executor must reproduce the serial trajectory fold bitwise, mid-circuit
-//! measurement splits, guard checkpoints, readout flips and all. The serial
-//! fold is rebuilt here from the public `run_single` as an independent
-//! oracle. Density-backed consumers pin the same populations at 1e-12.
+//! executor must reproduce the trajectory-by-trajectory fold bitwise,
+//! mid-circuit measurement splits, guard checkpoints, readout flips and all.
+//!
+//! `run_single` runs the same pure-state executor as a one-member chunk, so
+//! folding it checks chunk width `n` against width 1 (kept for fused plans).
+//! Unfused plans are also checked against an independent serial interpreter
+//! of the source circuit built from public primitives only (`interpret`):
+//! `run_detailed` states and records, and every trajectory estimate.
+//! Density-backed consumers pin the same populations at 1e-12.
 //! Cancellation mid-batch fails the whole call with the standard `Cancelled`
 //! error.
 
@@ -20,7 +25,8 @@ use qudit_circuit::sim::{
     CancelToken, DensityMatrixSimulator, FusionConfig, GuardConfig, GuardPolicy,
     StatevectorSimulator, TrajectorySimulator,
 };
-use qudit_circuit::{Circuit, Gate, Observable, Param};
+use qudit_circuit::{Circuit, Gate, Instruction, Observable, Param};
+use qudit_core::apply::{ApplyPlan, OpKind};
 use qudit_core::error::CoreError;
 use qudit_core::matrix::CMatrix;
 use qudit_core::state::QuditState;
@@ -496,6 +502,203 @@ fn batched_trajectories_converge_to_density_result() {
         exact,
         est.std_error
     );
+}
+
+// ---------------------------------------------------------------------------
+// An independent serial interpreter over the unfused source circuit.
+// ---------------------------------------------------------------------------
+
+/// One stochastic Kraus step on a single state, from public primitives only:
+/// branch weights `‖K_k ψ‖²` by `ApplyPlan::norm_sqr_after`, one uniform
+/// draw scaled by their sum, a scan that never selects a zero-weight branch
+/// (top-edge rounding falls back to the last positive one), then the chosen
+/// operator and a renormalisation. A one-operator channel is unitary and
+/// draws nothing.
+fn interpret_channel(
+    state: &mut QuditState,
+    channel: &KrausChannel,
+    targets: &[usize],
+    rng: &mut StdRng,
+) {
+    let ops = channel.operators();
+    if ops.len() == 1 {
+        state.apply_operator(&ops[0], targets).unwrap();
+        return;
+    }
+    let plan = ApplyPlan::new(state.radix(), targets).unwrap();
+    let mut scratch = Vec::new();
+    let weights: Vec<f64> = ops
+        .iter()
+        .map(|op| {
+            plan.norm_sqr_after(&OpKind::classify(op), op, state.amplitudes(), &mut scratch)
+                .unwrap()
+        })
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let mut r = rng.gen::<f64>() * total;
+    let mut chosen = None;
+    for (k, &w) in weights.iter().enumerate() {
+        if w <= 0.0 {
+            continue;
+        }
+        chosen = Some(k);
+        if r < w {
+            break;
+        }
+        r -= w;
+    }
+    state.apply_operator(&ops[chosen.unwrap()], targets).unwrap();
+    state.normalize().unwrap();
+}
+
+/// Measurement records: `(targets, digits)` per measurement, in order.
+type Records = Vec<(Vec<usize>, Vec<usize>)>;
+
+/// Runs `circuit` from `|0…0⟩` one source instruction at a time, with no
+/// compiled plan: each gate is followed by the model's
+/// `channels_after_gate`, each barrier by idle photon loss on every qudit
+/// in order, each measurement by readout flips of its digits. Returns the
+/// final state and the `(targets, digits)` records.
+fn interpret(circuit: &Circuit, noise: &NoiseModel, rng: &mut StdRng) -> (QuditState, Records) {
+    let dims = circuit.dims();
+    let zeros = vec![0.0; circuit.num_params()];
+    let mut state = QuditState::zero(dims.to_vec()).unwrap();
+    let mut records = Vec::new();
+    for inst in circuit.instructions() {
+        match inst {
+            Instruction::Unitary { gate, targets } => {
+                state.apply_operator(&gate.bound_matrix(&zeros).unwrap(), targets).unwrap();
+                for (channel, q) in noise.channels_after_gate(targets, dims).unwrap() {
+                    interpret_channel(&mut state, &channel, &[q], rng);
+                }
+            }
+            Instruction::Measure { targets } => {
+                let mut digits = state.measure(targets, rng).unwrap();
+                let target_dims: Vec<usize> = targets.iter().map(|&t| dims[t]).collect();
+                qudit_circuit::sim::apply_readout_flip(
+                    &mut digits,
+                    &target_dims,
+                    noise.readout_flip,
+                    rng,
+                );
+                records.push((targets.clone(), digits));
+            }
+            Instruction::Reset { target } => {
+                let level = state.measure(&[*target], rng).unwrap()[0];
+                if level != 0 {
+                    // The shift X^(d - level) rotates the observed level to 0.
+                    let d = dims[*target];
+                    let back = CMatrix::from_fn(d, d, |row, col| {
+                        if row == (col + d - level) % d {
+                            Complex64::ONE
+                        } else {
+                            Complex64::ZERO
+                        }
+                    });
+                    state.apply_operator(&back, &[*target]).unwrap();
+                }
+            }
+            Instruction::Channel { channel, targets } => {
+                interpret_channel(&mut state, channel, targets, rng);
+            }
+            Instruction::Barrier => {
+                if noise.idle_photon_loss > 0.0 {
+                    for (q, &d) in dims.iter().enumerate() {
+                        let loss = KrausChannel::photon_loss(d, noise.idle_photon_loss).unwrap();
+                        interpret_channel(&mut state, &loss, &[q], rng);
+                    }
+                }
+            }
+        }
+    }
+    (state, records)
+}
+
+/// A stochastic circuit for the interpreter: a bound random circuit with a
+/// barrier after every third instruction.
+fn interpreter_circuit(rng: &mut StdRng) -> (Circuit, Vec<usize>) {
+    let (c, dims) = random_param_circuit(rng, 2, true);
+    let theta: Vec<f64> = (0..2).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+    let bound = c.with_bound(&theta).unwrap();
+    let mut out = Circuit::new(dims.clone());
+    for (i, inst) in bound.instructions().iter().enumerate() {
+        match inst {
+            Instruction::Unitary { gate, targets } => out.push(gate.clone(), targets).unwrap(),
+            Instruction::Measure { targets } => out.measure(targets).unwrap(),
+            Instruction::Reset { target } => out.reset(*target).unwrap(),
+            Instruction::Channel { channel, targets } => {
+                out.push_channel(channel.clone(), targets).unwrap();
+            }
+            Instruction::Barrier => out.barrier(),
+        }
+        if i % 3 == 2 {
+            out.barrier();
+        }
+    }
+    (out, dims)
+}
+
+/// Noise models for the interpreter comparisons: cavity loss with idle loss
+/// at barriers, and depolarizing noise, both with readout error.
+fn interpreter_noise() -> [NoiseModel; 2] {
+    [
+        NoiseModel::cavity(0.06, 0.1, 0.08).with_readout_flip(0.05),
+        NoiseModel::depolarizing(0.04, 0.06).with_readout_flip(0.03),
+    ]
+}
+
+#[test]
+fn unfused_runs_match_the_independent_interpreter_bitwise() {
+    for trial in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(71_000 + trial);
+        let (c, _) = interpreter_circuit(&mut rng);
+        for (m, noise) in interpreter_noise().into_iter().enumerate() {
+            let seed = 500 + trial;
+            let mut sim = StatevectorSimulator::with_seed(seed)
+                .with_noise(noise.clone())
+                .with_fusion(FusionConfig::disabled());
+            if trial % 2 == 1 {
+                sim = sim.with_guard(GuardConfig::enabled().with_cadence(3));
+            }
+            let out = sim.run_detailed(&c).unwrap();
+            let (state, records) = interpret(&c, &noise, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(out.state.amplitudes(), state.amplitudes(), "trial {trial}, model {m}");
+            assert_eq!(out.measurements, records, "trial {trial}, model {m}");
+        }
+    }
+}
+
+#[test]
+fn unfused_trajectory_estimates_match_the_independent_interpreter_bitwise() {
+    let shots = 4;
+    for trial in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(72_000 + trial);
+        let (c, dims) = interpreter_circuit(&mut rng);
+        let obs = Observable::number(0, dims[0]);
+        for (m, noise) in interpreter_noise().into_iter().enumerate() {
+            let seed = 40 + trial;
+            let n = 70;
+            let states: Vec<QuditState> = (0..n)
+                .map(|t| interpret(&c, &noise, &mut StdRng::seed_from_u64(traj_seed(seed, t))).0)
+                .collect();
+            for threads in [1, 3] {
+                let sim = TrajectorySimulator::new(n)
+                    .with_seed(seed)
+                    .with_noise(noise.clone())
+                    .with_fusion(FusionConfig::disabled())
+                    .with_threads(threads);
+                let ctx = format!("trial {trial}, model {m}, threads {threads}");
+                let est = sim.expectation(&c, &obs).unwrap();
+                assert_eq!((est.mean, est.std_error), oracle_expectation(&states, &obs), "{ctx}");
+                assert_eq!(sim.outcome_distribution(&c).unwrap(), oracle_distribution(&states));
+                assert_eq!(
+                    sim.sample_counts(&c, shots).unwrap(),
+                    oracle_counts(&states, seed, shots, noise.readout_flip),
+                    "{ctx}"
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

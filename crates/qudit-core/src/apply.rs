@@ -806,52 +806,45 @@ impl ApplyPlan {
     }
 
     /// Shape check for the interleaved ensemble kernels: `data` must cover a
-    /// `total_dim × width` panel and `cols` must lie inside it.
-    fn check_panel(&self, len: usize, width: usize, cols: &std::ops::Range<usize>) -> Result<()> {
-        if width == 0 || cols.start > cols.end || cols.end > width || len < self.total_dim * width {
+    /// `total_dim × width` panel.
+    fn check_panel(&self, len: usize, width: usize) -> Result<()> {
+        if width == 0 || len < self.total_dim * width {
             return Err(CoreError::ShapeMismatch {
-                expected: format!(
-                    "{dim} x {width} ensemble panel covering columns {start}..{end}",
-                    dim = self.total_dim,
-                    start = cols.start,
-                    end = cols.end,
-                ),
+                expected: format!("{} x {width} ensemble panel", self.total_dim),
                 found: format!("{len} entries"),
             });
         }
         Ok(())
     }
 
-    /// Applies `op` to columns `cols` of an interleaved ensemble panel:
+    /// Applies `op` to every column of an interleaved ensemble panel:
     /// register index `i` of column `b` lives at `data[i * width + b]`.
     ///
     /// This is the batched analogue of [`ApplyPlan::apply`]: one plan
-    /// traversal sweeps all selected columns, so dense blocks become
-    /// matrix–panel products and diagonal/monomial steps become row-scaled
-    /// broadcasts. Every arm reproduces the *serial unit-stride* kernel's
-    /// per-scalar arithmetic order on each column, so the per-column results
-    /// are **bitwise identical** to applying [`ApplyPlan::apply`] to that
+    /// traversal sweeps all columns, so dense blocks become matrix–panel
+    /// products and diagonal/monomial steps become row-scaled broadcasts.
+    /// Every arm reproduces the *serial unit-stride* kernel's per-scalar
+    /// arithmetic order on each column, so the per-column results are
+    /// **bitwise identical** to applying [`ApplyPlan::apply`] to that
     /// column's amplitudes alone — the contract batched trajectories rely
-    /// on.
+    /// on. A one-column panel is a contiguous state and runs through
+    /// [`ApplyPlan::apply`] itself.
     ///
     /// `scratch` is caller working memory, resized as needed.
     ///
     /// # Errors
-    /// Returns an error if `op`, the panel span, or the column range have the
-    /// wrong dimensions.
+    /// Returns an error if `op` or the panel span have the wrong dimensions.
     pub fn apply_batched(
         &self,
         kind: &OpKind,
         op: &CMatrix,
         data: &mut [Complex64],
         width: usize,
-        cols: std::ops::Range<usize>,
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
-        self.check_panel(data.len(), width, &cols)?;
-        let (lo, cw) = (cols.start, cols.len());
-        if cw == 0 {
-            return Ok(());
+        self.check_panel(data.len(), width)?;
+        if width == 1 {
+            return self.apply(kind, op, data, scratch);
         }
         match kind {
             OpKind::Diagonal(diag) => {
@@ -860,8 +853,8 @@ impl ApplyPlan {
                     self.for_each_block(|base| {
                         let mut row = base;
                         for d in diag.iter() {
-                            let at = row * width + lo;
-                            for v in &mut data[at..at + cw] {
+                            let at = row * width;
+                            for v in &mut data[at..at + width] {
                                 *v *= *d;
                             }
                             row += s;
@@ -870,8 +863,8 @@ impl ApplyPlan {
                 } else {
                     self.for_each_block(|base| {
                         for (j, d) in diag.iter().enumerate() {
-                            let at = (base + self.sub_offsets[j]) * width + lo;
-                            for v in &mut data[at..at + cw] {
+                            let at = (base + self.sub_offsets[j]) * width;
+                            for v in &mut data[at..at + width] {
                                 *v *= *d;
                             }
                         }
@@ -880,19 +873,20 @@ impl ApplyPlan {
             }
             OpKind::Monomial { rows, coeffs, .. } => {
                 self.check_op(rows.len())?;
-                scratch.resize(self.sub_dim * cw, Complex64::ZERO);
+                scratch.resize(self.sub_dim * width, Complex64::ZERO);
                 self.for_each_block(|base| {
-                    for (j, slot) in scratch.chunks_exact_mut(cw).enumerate() {
-                        let at = (base + self.sub_offsets[j]) * width + lo;
-                        let src = &mut data[at..at + cw];
+                    for (j, slot) in scratch.chunks_exact_mut(width).enumerate() {
+                        let at = (base + self.sub_offsets[j]) * width;
+                        let src = &mut data[at..at + width];
                         slot.copy_from_slice(src);
                         src.fill(Complex64::ZERO);
                     }
                     for (c, (&r, &coeff)) in rows.iter().zip(coeffs.iter()).enumerate() {
                         if coeff != Complex64::ZERO {
-                            let at = (base + self.sub_offsets[r]) * width + lo;
-                            let dst = &mut data[at..at + cw];
-                            for (o, &x) in dst.iter_mut().zip(&scratch[c * cw..(c + 1) * cw]) {
+                            let at = (base + self.sub_offsets[r]) * width;
+                            let dst = &mut data[at..at + width];
+                            for (o, &x) in dst.iter_mut().zip(&scratch[c * width..(c + 1) * width])
+                            {
                                 *o += coeff * x;
                             }
                         }
@@ -906,48 +900,49 @@ impl ApplyPlan {
                     // `sub_dim` consecutive rows, so the update is a dense
                     // matrix–panel product via the wide dot4 kernel.
                     Some(1) => {
-                        scratch.resize((self.sub_dim + 5) * cw, Complex64::ZERO);
-                        let (gather, rest) = scratch.split_at_mut(self.sub_dim * cw);
-                        let (acc, out) = rest.split_at_mut(4 * cw);
+                        scratch.resize((self.sub_dim + 5) * width, Complex64::ZERO);
+                        let (gather, rest) = scratch.split_at_mut(self.sub_dim * width);
+                        let (acc, out) = rest.split_at_mut(4 * width);
                         self.for_each_block(|base| {
-                            for (j, slot) in gather.chunks_exact_mut(cw).enumerate() {
-                                let at = (base + j) * width + lo;
-                                slot.copy_from_slice(&data[at..at + cw]);
+                            for (j, slot) in gather.chunks_exact_mut(width).enumerate() {
+                                let at = (base + j) * width;
+                                slot.copy_from_slice(&data[at..at + width]);
                             }
                             for row in 0..self.sub_dim {
-                                dot4_panel(op.row(row), gather, cw, acc, out);
-                                let at = (base + row) * width + lo;
-                                data[at..at + cw].copy_from_slice(out);
+                                dot4_panel(op.row(row), gather, width, acc, out);
+                                let at = (base + row) * width;
+                                data[at..at + width].copy_from_slice(out);
                             }
                         });
                     }
                     // Interior consecutive targets: mirror the serial
                     // `s`-wide contiguous axpy arm — same ascending-column
-                    // mul_add chain per scalar, just `cw` columns at a time.
+                    // mul_add chain per scalar, just `width` columns at a time.
                     Some(s) => {
                         let chunk = self.sub_dim * s;
                         let hi_blocks = self.total_dim / chunk;
-                        scratch.resize(chunk * cw, Complex64::ZERO);
+                        scratch.resize(chunk * width, Complex64::ZERO);
                         for hi in 0..hi_blocks {
                             let start = hi * chunk;
-                            for (j, slot) in scratch.chunks_exact_mut(cw).enumerate() {
-                                let at = (start + j) * width + lo;
-                                slot.copy_from_slice(&data[at..at + cw]);
+                            for (j, slot) in scratch.chunks_exact_mut(width).enumerate() {
+                                let at = (start + j) * width;
+                                slot.copy_from_slice(&data[at..at + width]);
                             }
                             for r in 0..self.sub_dim {
                                 let out_base = start + r * s;
                                 for k in 0..s {
-                                    let at = (out_base + k) * width + lo;
-                                    data[at..at + cw].fill(Complex64::ZERO);
+                                    let at = (out_base + k) * width;
+                                    data[at..at + width].fill(Complex64::ZERO);
                                 }
                                 for (c, &a) in op.row(r).iter().enumerate() {
                                     if a == Complex64::ZERO {
                                         continue;
                                     }
                                     for k in 0..s {
-                                        let src = &scratch[(c * s + k) * cw..(c * s + k + 1) * cw];
-                                        let at = (out_base + k) * width + lo;
-                                        for (o, &x) in data[at..at + cw].iter_mut().zip(src) {
+                                        let src =
+                                            &scratch[(c * s + k) * width..(c * s + k + 1) * width];
+                                        let at = (out_base + k) * width;
+                                        for (o, &x) in data[at..at + width].iter_mut().zip(src) {
                                             *o = a.mul_add(x, *o);
                                         }
                                     }
@@ -958,18 +953,18 @@ impl ApplyPlan {
                     // Scattered targets: gather through the offset table,
                     // dense wide-dot4 per output row.
                     None => {
-                        scratch.resize((self.sub_dim + 5) * cw, Complex64::ZERO);
-                        let (gather, rest) = scratch.split_at_mut(self.sub_dim * cw);
-                        let (acc, out) = rest.split_at_mut(4 * cw);
+                        scratch.resize((self.sub_dim + 5) * width, Complex64::ZERO);
+                        let (gather, rest) = scratch.split_at_mut(self.sub_dim * width);
+                        let (acc, out) = rest.split_at_mut(4 * width);
                         self.for_each_block(|base| {
-                            for (j, slot) in gather.chunks_exact_mut(cw).enumerate() {
-                                let at = (base + self.sub_offsets[j]) * width + lo;
-                                slot.copy_from_slice(&data[at..at + cw]);
+                            for (j, slot) in gather.chunks_exact_mut(width).enumerate() {
+                                let at = (base + self.sub_offsets[j]) * width;
+                                slot.copy_from_slice(&data[at..at + width]);
                             }
                             for (row, &off) in self.sub_offsets.iter().enumerate() {
-                                dot4_panel(op.row(row), gather, cw, acc, out);
-                                let at = (base + off) * width + lo;
-                                data[at..at + cw].copy_from_slice(out);
+                                dot4_panel(op.row(row), gather, width, acc, out);
+                                let at = (base + off) * width;
+                                data[at..at + width].copy_from_slice(out);
                             }
                         });
                     }
@@ -996,7 +991,15 @@ impl ApplyPlan {
         col: usize,
         scratch: &mut Vec<Complex64>,
     ) -> Result<f64> {
-        self.check_panel(data.len(), width, &(col..col + 1))?;
+        self.check_panel(data.len(), width)?;
+        if col >= width {
+            return Err(CoreError::InvalidArgument(format!(
+                "column {col} out of range for width {width}"
+            )));
+        }
+        if width == 1 {
+            return self.norm_sqr_after(kind, op, data, scratch);
+        }
         let mut acc = 0.0f64;
         match kind {
             OpKind::Diagonal(diag) => {
@@ -1347,48 +1350,39 @@ mod tests {
     fn apply_batched_columns_are_bitwise_identical_to_serial_apply() {
         // Cover every kernel arm: dense/diagonal/monomial × contiguous
         // suffix (stride 1), interior uniform stride, single target,
-        // scattered (None), on a mixed-radix register.
+        // scattered (None), on a mixed-radix register, for a one-column
+        // panel (the contiguous delegation) and a three-column one.
         let radix = Radix::new(vec![2, 3, 2, 2]).unwrap();
-        let width = 3;
-        let cols = panel_columns(radix.total_dim(), width);
         let mut scratch = Vec::new();
         let mut batch_scratch = Vec::new();
-        for targets in [vec![2, 3], vec![1, 2], vec![1], vec![0, 2], vec![3, 1]] {
-            let plan = ApplyPlan::new(&radix, &targets).unwrap();
-            let sub = plan.sub_dim();
-            let dense = CMatrix::from_fn(sub, sub, |i, j| {
-                c64(0.1 * (i + 2 * j) as f64 + 0.5, 0.05 * i as f64 - 0.03 * j as f64)
-            });
-            let diag = CMatrix::diag(
-                &(0..sub).map(|k| c64(0.2 * k as f64 + 0.1, 0.3)).collect::<Vec<_>>(),
-            );
-            let mono = shift_x(sub);
-            for op in [&dense, &diag, &mono] {
-                let kind = OpKind::classify(op);
-                let mut panel = interleave(&cols);
-                plan.apply_batched(&kind, op, &mut panel, width, 0..width, &mut batch_scratch)
-                    .unwrap();
-                for (b, col) in cols.iter().enumerate() {
-                    let mut serial = col.clone();
-                    plan.apply(&kind, op, &mut serial, &mut scratch).unwrap();
-                    for (i, expect) in serial.iter().enumerate() {
-                        assert_eq!(
-                            panel[i * width + b],
-                            *expect,
-                            "targets {targets:?}, kind {kind:?}, col {b}, index {i}"
-                        );
+        for width in [1, 3] {
+            let cols = panel_columns(radix.total_dim(), width);
+            for targets in [vec![2, 3], vec![1, 2], vec![1], vec![0, 2], vec![3, 1]] {
+                let plan = ApplyPlan::new(&radix, &targets).unwrap();
+                let sub = plan.sub_dim();
+                let dense = CMatrix::from_fn(sub, sub, |i, j| {
+                    c64(0.1 * (i + 2 * j) as f64 + 0.5, 0.05 * i as f64 - 0.03 * j as f64)
+                });
+                let diag = CMatrix::diag(
+                    &(0..sub).map(|k| c64(0.2 * k as f64 + 0.1, 0.3)).collect::<Vec<_>>(),
+                );
+                let mono = shift_x(sub);
+                for op in [&dense, &diag, &mono] {
+                    let kind = OpKind::classify(op);
+                    let mut panel = interleave(&cols);
+                    plan.apply_batched(&kind, op, &mut panel, width, &mut batch_scratch).unwrap();
+                    for (b, col) in cols.iter().enumerate() {
+                        let mut serial = col.clone();
+                        plan.apply(&kind, op, &mut serial, &mut scratch).unwrap();
+                        for (i, expect) in serial.iter().enumerate() {
+                            assert_eq!(
+                                panel[i * width + b],
+                                *expect,
+                                "width {width}, targets {targets:?}, kind {kind:?}, col {b}, \
+                                 index {i}"
+                            );
+                        }
                     }
-                }
-                // A single-column sub-range must leave the others untouched
-                // and still match the serial kernel bitwise.
-                let mut panel = interleave(&cols);
-                plan.apply_batched(&kind, op, &mut panel, width, 1..2, &mut batch_scratch).unwrap();
-                let mut serial = cols[1].clone();
-                plan.apply(&kind, op, &mut serial, &mut scratch).unwrap();
-                for i in 0..radix.total_dim() {
-                    assert_eq!(panel[i * width], cols[0][i]);
-                    assert_eq!(panel[i * width + 1], serial[i]);
-                    assert_eq!(panel[i * width + 2], cols[2][i]);
                 }
             }
         }
@@ -1417,7 +1411,14 @@ mod tests {
                     let batched =
                         plan.norm_sqr_after_col(&kind, op, &panel, width, b, &mut scratch).unwrap();
                     assert_eq!(serial.to_bits(), batched.to_bits(), "targets {targets:?}");
+                    // A one-column panel is the column itself.
+                    let single =
+                        plan.norm_sqr_after_col(&kind, op, col, 1, 0, &mut scratch).unwrap();
+                    assert_eq!(serial.to_bits(), single.to_bits(), "targets {targets:?}");
                 }
+                assert!(plan
+                    .norm_sqr_after_col(&kind, op, &panel, width, width, &mut scratch)
+                    .is_err());
             }
             // Marginals down a column reuse the strided accumulator and must
             // agree bitwise with the contiguous path.
@@ -1453,14 +1454,11 @@ mod tests {
         let mut scratch = Vec::new();
         // Panel too short for the claimed width.
         let mut short = vec![Complex64::ZERO; 7];
-        assert!(plan.apply_batched(&kind, &op, &mut short, 2, 0..2, &mut scratch).is_err());
-        // Column range out of bounds.
-        let mut panel = vec![Complex64::ZERO; 8];
-        assert!(plan.apply_batched(&kind, &op, &mut panel, 2, 1..3, &mut scratch).is_err());
+        assert!(plan.apply_batched(&kind, &op, &mut short, 2, &mut scratch).is_err());
         // Zero width is rejected outright.
-        assert!(plan.apply_batched(&kind, &op, &mut panel, 0, 0..0, &mut scratch).is_err());
-        // An empty (but in-bounds) column range is a no-op.
-        plan.apply_batched(&kind, &op, &mut panel, 2, 1..1, &mut scratch).unwrap();
+        let mut panel = vec![Complex64::ZERO; 8];
+        assert!(plan.apply_batched(&kind, &op, &mut panel, 0, &mut scratch).is_err());
+        plan.apply_batched(&kind, &op, &mut panel, 2, &mut scratch).unwrap();
     }
 
     #[test]

@@ -8,17 +8,19 @@
 //! broadcasts — while keeping each column's per-scalar arithmetic order
 //! identical to the serial unit-stride kernels.
 //!
-//! The panel is always packed to the *active* column count: batched
-//! trajectory execution starts at width 1 and grows the panel lazily at
-//! stochastic divergence points via [`EnsembleState::push_clone_of`], which
-//! re-interleaves in place so cache locality tracks the live ensemble, not a
-//! preallocated capacity.
+//! The panel is always packed to the *active* column count: the pure-state
+//! executor starts every chunk at width 1 ([`EnsembleState::from_state`])
+//! and grows the panel lazily at stochastic divergence points via
+//! [`EnsembleState::push_clone_of`], which re-interleaves in place so cache
+//! locality tracks the live ensemble, not a preallocated capacity. A
+//! one-column panel is a plain contiguous state vector, and the per-column
+//! helpers take contiguous passes over it.
 //!
 //! Per-column reductions ([`EnsembleState::norm_sqr_col`],
 //! [`EnsembleState::normalize_col`]) reproduce the exact accumulation order
-//! of their [`crate::state::QuditState`] counterparts, which is what lets the
-//! batched trajectory executor promise bitwise-identical results to the
-//! serial one-state-at-a-time loop.
+//! of their [`crate::state::QuditState`] counterparts, which is what lets a
+//! chunk of many runs promise bitwise-identical results to running each
+//! member on its own.
 
 use crate::complex::Complex64;
 use crate::error::{CoreError, Result};
@@ -34,49 +36,9 @@ pub struct EnsembleState {
 }
 
 impl EnsembleState {
-    /// Creates an ensemble of `width` copies of `|0…0⟩`.
-    ///
-    /// # Errors
-    /// Returns an error if any dimension is invalid or `width == 0`.
-    pub fn zero(dims: Vec<usize>, width: usize) -> Result<Self> {
-        Self::from_state(&QuditState::zero(dims)?, width)
-    }
-
-    /// Creates an ensemble of `width` copies of `state`.
-    ///
-    /// # Errors
-    /// Returns an error if `width == 0`.
-    pub fn from_state(state: &QuditState, width: usize) -> Result<Self> {
-        if width == 0 {
-            return Err(CoreError::InvalidArgument("ensemble width must be positive".into()));
-        }
-        let dim = state.dim();
-        let mut data = vec![Complex64::ZERO; dim * width];
-        for (row, &a) in data.chunks_exact_mut(width).zip(state.amplitudes()) {
-            row.fill(a);
-        }
-        Ok(Self { radix: state.radix().clone(), width, data })
-    }
-
-    /// Creates an ensemble from explicit per-column states.
-    ///
-    /// # Errors
-    /// Returns an error if the slice is empty or the registers differ.
-    pub fn from_states(states: &[QuditState]) -> Result<Self> {
-        let first = states
-            .first()
-            .ok_or_else(|| CoreError::InvalidArgument("ensemble width must be positive".into()))?;
-        let mut ens = Self::from_state(first, states.len())?;
-        for (b, state) in states.iter().enumerate().skip(1) {
-            if state.radix() != &ens.radix {
-                return Err(CoreError::ShapeMismatch {
-                    expected: format!("register {:?}", ens.radix.dims()),
-                    found: format!("register {:?}", state.radix().dims()),
-                });
-            }
-            ens.set_column(b, state.amplitudes());
-        }
-        Ok(ens)
+    /// Creates a one-column ensemble holding `state`.
+    pub fn from_state(state: &QuditState) -> Self {
+        Self { radix: state.radix().clone(), width: 1, data: state.amplitudes().to_vec() }
     }
 
     /// Number of columns (ensemble members) currently held.
@@ -123,19 +85,25 @@ impl EnsembleState {
         QuditState::from_amplitudes(self.radix.dims().to_vec(), self.column_amplitudes(col))
     }
 
-    /// Overwrites column `col` from a contiguous amplitude slice.
-    pub fn set_column(&mut self, col: usize, amps: &[Complex64]) {
-        assert!(col < self.width, "column {col} out of range for width {}", self.width);
-        assert_eq!(amps.len() * self.width, self.data.len(), "amplitude count mismatch");
-        for (slot, &a) in self.data[col..].iter_mut().step_by(self.width).zip(amps) {
-            *slot = a;
+    /// Splits the panel into one standalone state per column, in column
+    /// order. A one-column panel hands its buffer over without a copy.
+    ///
+    /// # Errors
+    /// Returns an error if any column has (numerically) zero norm.
+    pub fn into_states(self) -> Result<Vec<QuditState>> {
+        if self.width == 1 {
+            return Ok(vec![QuditState::from_amplitudes(self.radix.dims().to_vec(), self.data)?]);
         }
+        (0..self.width).map(|col| self.column_state(col)).collect()
     }
 
     /// Squared 2-norm of column `col`, accumulated in ascending index order
     /// (bitwise identical to [`QuditState::norm_sqr`] on that column).
     pub fn norm_sqr_col(&self, col: usize) -> f64 {
         assert!(col < self.width, "column {col} out of range for width {}", self.width);
+        if self.width == 1 {
+            return self.data.iter().map(|a| a.norm_sqr()).sum();
+        }
         self.data[col..].iter().step_by(self.width).map(|a| a.norm_sqr()).sum()
     }
 
@@ -151,6 +119,13 @@ impl EnsembleState {
             return Err(CoreError::InvalidArgument("cannot normalise a zero vector".into()));
         }
         let inv = 1.0 / n;
+        if self.width == 1 {
+            // A one-column panel is contiguous.
+            for a in &mut self.data {
+                *a = a.scale(inv);
+            }
+            return Ok(());
+        }
         for a in self.data[col..].iter_mut().step_by(self.width) {
             *a = a.scale(inv);
         }
@@ -193,22 +168,49 @@ mod tests {
         QuditState::from_amplitudes(dims, amps).unwrap()
     }
 
+    /// A panel holding `states` as its columns, built the way the executor
+    /// grows one: start from the first state, clone columns, then write each
+    /// column through the interleaved layout.
+    fn panel(states: &[QuditState]) -> EnsembleState {
+        let mut ens = EnsembleState::from_state(&states[0]);
+        for _ in 1..states.len() {
+            ens.push_clone_of(0);
+        }
+        let width = ens.width();
+        for (b, state) in states.iter().enumerate() {
+            for (i, &a) in state.amplitudes().iter().enumerate() {
+                ens.data_mut()[i * width + b] = a;
+            }
+        }
+        ens
+    }
+
     #[test]
     fn round_trips_columns_through_the_interleaved_layout() {
         let states = [test_state(vec![2, 3], 0.1), test_state(vec![2, 3], 0.7)];
-        let ens = EnsembleState::from_states(&states).unwrap();
+        let ens = panel(&states);
         assert_eq!(ens.width(), 2);
         assert_eq!(ens.dim(), 6);
         for (b, s) in states.iter().enumerate() {
             assert_eq!(ens.column_amplitudes(b), s.amplitudes());
             assert_eq!(ens.column_state(b).unwrap().amplitudes(), s.amplitudes());
         }
+        let split = ens.into_states().unwrap();
+        assert_eq!(split.len(), 2);
+        for (out, s) in split.iter().zip(&states) {
+            assert_eq!(out.amplitudes(), s.amplitudes());
+        }
+        // A one-column panel is the state itself.
+        let single = EnsembleState::from_state(&states[1]);
+        assert_eq!(single.width(), 1);
+        assert_eq!(single.data(), states[1].amplitudes());
+        assert_eq!(single.into_states().unwrap()[0].amplitudes(), states[1].amplitudes());
     }
 
     #[test]
     fn column_norms_match_serial_states_bitwise() {
         let states = [test_state(vec![3, 2], 0.2), test_state(vec![3, 2], 0.9)];
-        let mut ens = EnsembleState::from_states(&states).unwrap();
+        let mut ens = panel(&states);
         for (b, s) in states.iter().enumerate() {
             assert_eq!(ens.norm_sqr_col(b).to_bits(), s.norm_sqr().to_bits());
         }
@@ -218,12 +220,17 @@ mod tests {
         assert_eq!(ens.column_amplitudes(1), serial.amplitudes());
         // Column 0 untouched.
         assert_eq!(ens.column_amplitudes(0), states[0].amplitudes());
+        // The contiguous width-1 passes agree bitwise too.
+        let mut single = EnsembleState::from_state(&states[1]);
+        assert_eq!(single.norm_sqr_col(0).to_bits(), states[1].norm_sqr().to_bits());
+        single.normalize_col(0).unwrap();
+        assert_eq!(single.data(), serial.amplitudes());
     }
 
     #[test]
     fn push_clone_grows_and_preserves_existing_columns() {
         let states = [test_state(vec![2, 2], 0.3), test_state(vec![2, 2], 1.3)];
-        let mut ens = EnsembleState::from_states(&states).unwrap();
+        let mut ens = panel(&states);
         let new_col = ens.push_clone_of(0);
         assert_eq!(new_col, 2);
         assert_eq!(ens.width(), 3);
@@ -234,20 +241,20 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_ensembles() {
-        assert!(EnsembleState::zero(vec![2], 0).is_err());
-        assert!(EnsembleState::from_states(&[]).is_err());
-        assert!(EnsembleState::from_states(&[
-            test_state(vec![2, 2], 0.1),
-            test_state(vec![4], 0.1),
-        ])
-        .is_err());
-        let ens = EnsembleState::zero(vec![2, 2], 2).unwrap();
+        let ens = panel(&[test_state(vec![2, 2], 0.1), test_state(vec![2, 2], 0.4)]);
         // Zero columns cannot be extracted as states.
         let mut dead = ens.clone();
         dead.data_mut()[0] = Complex64::ZERO;
         dead.data_mut()[2] = Complex64::ZERO;
+        dead.data_mut()[4] = Complex64::ZERO;
+        dead.data_mut()[6] = Complex64::ZERO;
         assert!(dead.column_state(0).is_err());
         assert!(dead.normalize_col(0).is_err());
         assert!(dead.column_state(1).is_ok());
+        assert!(dead.into_states().is_err());
+        let mut single = EnsembleState::from_state(&test_state(vec![2], 0.1));
+        single.data_mut().fill(Complex64::ZERO);
+        assert!(single.clone().normalize_col(0).is_err());
+        assert!(single.into_states().is_err());
     }
 }

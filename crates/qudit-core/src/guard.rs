@@ -293,59 +293,18 @@ impl HealthMonitor {
         self.health.fallbacks += 1;
     }
 
-    /// Statevector checkpoint: one fused pass computing `Σ |a|²` detects both
-    /// non-finite amplitudes (the sum of non-negative terms propagates
-    /// NaN/Inf) and norm drift `|‖ψ‖ − 1| > tol`.
+    /// Statevector checkpoint on column `col` of an interleaved ensemble
+    /// panel (register index `i` at `data[i * width + col]`; a single state
+    /// is the panel with `width = 1, col = 0`). One fused pass computing
+    /// `Σ |a|²` in ascending index order detects both non-finite amplitudes
+    /// (the sum of non-negative terms propagates NaN/Inf) and norm drift
+    /// `|‖ψ‖ − 1| > tol`. A fault in one column is detected and attributed
+    /// without touching its batch-mates.
     ///
     /// Under [`GuardPolicy::RenormalizeAndCount`] / [`GuardPolicy::FallBack`]
-    /// a drifted (finite, non-zero) state is renormalised in place and the
-    /// repair counted. Healthy states are never mutated.
-    ///
-    /// # Errors
-    /// [`CoreError::NumericalHealth`] on a non-finite or zero state, or on
-    /// drift beyond tolerance under [`GuardPolicy::Fail`].
-    pub fn check_statevector(&mut self, step: usize, amplitudes: &mut [Complex64]) -> Result<()> {
-        self.health.checks_run += 1;
-        let norm_sqr: f64 = amplitudes.iter().map(|a| a.norm_sqr()).sum();
-        if !norm_sqr.is_finite() {
-            return Err(CoreError::NumericalHealth {
-                step,
-                metric: HealthMetric::NonFinite,
-                value: norm_sqr,
-            });
-        }
-        let norm = norm_sqr.sqrt();
-        let drift = (norm - 1.0).abs();
-        if drift > self.health.max_drift {
-            self.health.max_drift = drift;
-        }
-        if drift <= self.config.tol {
-            return Ok(());
-        }
-        if matches!(self.config.policy, GuardPolicy::Fail) || norm < 1e-300 {
-            return Err(CoreError::NumericalHealth {
-                step,
-                metric: HealthMetric::Norm,
-                value: norm,
-            });
-        }
-        let inv = 1.0 / norm;
-        for a in amplitudes.iter_mut() {
-            *a *= inv;
-        }
-        self.health.renormalizations += 1;
-        Ok(())
-    }
-
-    /// Per-column statevector checkpoint on an interleaved ensemble panel
-    /// (register index `i` of column `col` at `data[i * width + col]`).
-    ///
-    /// The scan, drift accounting, repair policy, and error surface are
-    /// exactly those of [`HealthMonitor::check_statevector`] restricted to
-    /// one column — same ascending-index accumulation order, same `*= inv`
-    /// repair — so guarded ensemble runs report bitwise-identical
-    /// [`RunHealth`] to the serial per-state loop, and a fault in one column
-    /// is detected and attributed without touching its batch-mates.
+    /// a drifted (finite, non-zero) column is renormalised in place
+    /// (`*= 1/‖ψ‖`) and the repair counted. Healthy columns are never
+    /// mutated.
     ///
     /// # Errors
     /// [`CoreError::NumericalHealth`] on a non-finite or zero column, or on
@@ -673,7 +632,7 @@ mod tests {
         let mut monitor = HealthMonitor::new(GuardConfig::enabled());
         let mut amps = unit_state(8);
         let before = amps.clone();
-        monitor.check_statevector(0, &mut amps).unwrap();
+        monitor.check_statevector_col(0, &mut amps, 1, 0).unwrap();
         assert_eq!(amps, before, "healthy state must not be mutated");
         let health = monitor.health();
         assert_eq!(health.checks_run, 1);
@@ -687,7 +646,7 @@ mod tests {
             let mut monitor = HealthMonitor::new(GuardConfig::enabled().with_policy(policy));
             let mut amps = unit_state(4);
             amps[2] = c64(f64::NAN, 0.0);
-            let err = monitor.check_statevector(3, &mut amps).unwrap_err();
+            let err = monitor.check_statevector_col(3, &mut amps, 1, 0).unwrap_err();
             match err {
                 CoreError::NumericalHealth { step, metric, .. } => {
                     assert_eq!(step, 3);
@@ -705,13 +664,13 @@ mod tests {
             *a *= 1.5;
         }
         let mut failing = HealthMonitor::new(GuardConfig::enabled());
-        let err = failing.check_statevector(1, &mut amps.clone()).unwrap_err();
+        let err = failing.check_statevector_col(1, &mut amps.clone(), 1, 0).unwrap_err();
         assert!(matches!(err, CoreError::NumericalHealth { metric: HealthMetric::Norm, .. }));
 
         let mut repairing = HealthMonitor::new(
             GuardConfig::enabled().with_policy(GuardPolicy::RenormalizeAndCount),
         );
-        repairing.check_statevector(1, &mut amps).unwrap();
+        repairing.check_statevector_col(1, &mut amps, 1, 0).unwrap();
         let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
         assert!((norm - 1.0).abs() < 1e-12);
         let health = repairing.health();
@@ -726,7 +685,7 @@ mod tests {
         );
         let mut amps = vec![c64(0.0, 0.0); 4];
         assert!(matches!(
-            monitor.check_statevector(0, &mut amps),
+            monitor.check_statevector_col(0, &mut amps, 1, 0),
             Err(CoreError::NumericalHealth { metric: HealthMetric::Norm, .. })
         ));
     }
@@ -854,7 +813,7 @@ mod tests {
             assert!(!monitor.due());
         }
         let mut amps = unit_state(4);
-        monitor.check_statevector(5, &mut amps).unwrap();
+        monitor.check_statevector_col(5, &mut amps, 1, 0).unwrap();
         assert_eq!(monitor.health().checks_run, 1);
     }
 
