@@ -7,7 +7,7 @@
 //! per-call block-geometry setup, dense-only application, per-amplitude
 //! digit decompositions, O(dim) per-shot sampling, per-branch state clones —
 //! on top of the public API. `bench_kernels` times these against the
-//! optimized paths and records the ratios in `BENCH_1.json`.
+//! optimized paths in the same run, as interleaved A/B pairs.
 //!
 //! Nothing here is wired into production code; it exists only as the
 //! yardstick (and as an independent correctness oracle for the harness's
