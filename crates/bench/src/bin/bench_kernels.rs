@@ -1,5 +1,7 @@
 //! Kernel benchmark harness: times every kernel row of the BENCH series,
-//! prints a summary table and writes the numbers to `BENCH_9.json`.
+//! prints a summary table and writes the numbers to `target/bench/BENCH_9.json`
+//! (relative to the working directory, so a run from the repo root leaves the
+//! committed `BENCH_N.json` records untouched).
 //!
 //! The rows cover trajectory expectation, deterministic sampling, raw
 //! sampler, measure/collapse, statevector fusion, syndrome-extraction flush
@@ -1034,6 +1036,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_9.json", &json).expect("write BENCH_9.json");
-    println!("\nwrote BENCH_9.json");
+    std::fs::create_dir_all("target/bench").expect("create target/bench");
+    std::fs::write("target/bench/BENCH_9.json", &json).expect("write BENCH_9.json");
+    println!("\nwrote target/bench/BENCH_9.json");
 }

@@ -169,7 +169,7 @@ impl DigitalReservoir {
             self.plan.bind(&[theta])?;
             let mut row = Vec::with_capacity(self.feature_dim());
             for _segment in 0..self.params.virtual_nodes {
-                rho = self.sim.run_compiled_from(&self.plan, &rho)?;
+                rho = self.sim.run_compiled_from(&self.plan, rho)?;
                 for (_, op, targets) in &self.observables {
                     row.push(rho.expectation(op, targets)?.re);
                 }

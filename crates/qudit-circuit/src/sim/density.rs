@@ -17,10 +17,13 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use qudit_core::apply::OpKind;
 use qudit_core::cancel::CancelToken;
+use qudit_core::complex::Complex64;
 use qudit_core::density::DensityMatrix;
 use qudit_core::error::CoreError;
 use qudit_core::guard::{GuardConfig, GuardPolicy, HealthMetric, HealthMonitor, RunHealth};
+use qudit_core::matrix::CMatrix;
 use qudit_core::superop::SuperPlan;
 
 use crate::circuit::Circuit;
@@ -28,11 +31,9 @@ use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
 use crate::sim::apply_readout_flip;
+use crate::sim::exec::{check_register, drive, Backend, ExecConfig};
 use crate::sim::fusion::{FusionConfig, FusionStats};
-use crate::sim::kernels::{
-    BindBuffers, CircuitKernels, DensityKernels, DensityStep, SuperFallback, SuperopConfig,
-    SuperopStats,
-};
+use crate::sim::kernels::{BindBuffers, DensityKernels, DensityStep, SuperopConfig, SuperopStats};
 
 /// A circuit compiled for density-matrix execution: the fused plan plus the
 /// superoperator-batched channel sweeps. Compile once with
@@ -163,13 +164,8 @@ impl CompiledDensityCircuit {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DensityMatrixSimulator {
-    noise: NoiseModel,
-    seed: u64,
-    fusion: FusionConfig,
+    exec: ExecConfig,
     superop: SuperopConfig,
-    threads: usize,
-    guard: GuardConfig,
-    cancel: Option<CancelToken>,
 }
 
 impl Default for DensityMatrixSimulator {
@@ -181,37 +177,26 @@ impl Default for DensityMatrixSimulator {
 impl DensityMatrixSimulator {
     /// Creates a noiseless density-matrix simulator.
     pub fn new() -> Self {
-        Self {
-            noise: NoiseModel::noiseless(),
-            seed: 0xDEC0DE,
-            fusion: FusionConfig::default(),
-            superop: SuperopConfig::default(),
-            threads: 0,
-            guard: GuardConfig::disabled(),
-            cancel: None,
-        }
+        Self { exec: ExecConfig::new(0xDEC0DE), superop: SuperopConfig::default() }
     }
 
     /// Attaches a noise model.
     #[must_use]
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
+    pub fn with_noise(self, noise: NoiseModel) -> Self {
+        Self { exec: ExecConfig { noise, ..self.exec }, ..self }
     }
 
     /// Sets the sampling seed.
     #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    pub fn with_seed(self, seed: u64) -> Self {
+        Self { exec: ExecConfig { seed, ..self.exec }, ..self }
     }
 
     /// Sets the gate-fusion configuration used when compiling the circuit
     /// (enabled by default; see [`crate::sim::fusion`]).
     #[must_use]
-    pub fn with_fusion(mut self, fusion: FusionConfig) -> Self {
-        self.fusion = fusion;
-        self
+    pub fn with_fusion(self, fusion: FusionConfig) -> Self {
+        Self { exec: ExecConfig { fusion, ..self.exec }, ..self }
     }
 
     /// Sets the superoperator-batching configuration (enabled by default;
@@ -220,9 +205,8 @@ impl DensityMatrixSimulator {
     /// benchmarks compare against. Batching changes results only at the
     /// level of floating-point rounding.
     #[must_use]
-    pub fn with_superop(mut self, superop: SuperopConfig) -> Self {
-        self.superop = superop;
-        self
+    pub fn with_superop(self, superop: SuperopConfig) -> Self {
+        Self { superop, ..self }
     }
 
     /// Sets the worker-thread count for superoperator sweeps (`0` =
@@ -230,9 +214,8 @@ impl DensityMatrixSimulator {
     /// chunked across [`qudit_core::par`] pool workers. Results are bitwise
     /// identical for every thread count.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+    pub fn with_threads(self, threads: usize) -> Self {
+        Self { exec: ExecConfig { threads, ..self.exec }, ..self }
     }
 
     /// Attaches a runtime health-guard configuration (disabled by default;
@@ -245,34 +228,22 @@ impl DensityMatrixSimulator {
     /// applied and degraded to its per-constituent path on failure. Healthy
     /// runs are bitwise identical with guards on or off.
     #[must_use]
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = guard;
-        self
+    pub fn with_guard(self, guard: GuardConfig) -> Self {
+        Self { exec: ExecConfig { guard, ..self.exec }, ..self }
     }
 
-    /// Attaches a cooperative [`CancelToken`]. The run loop polls it on entry
-    /// and at every guard-cadence boundary (every [`GuardConfig`] `cadence`
-    /// steps, whether or not the guard itself is enabled), surfacing a
-    /// tripped token as [`CoreError::Cancelled`]. Checkpoints never mutate ρ,
-    /// so a cancelled sweep is bitwise identical to an uncancelled one right
-    /// up to the step at which it stops.
+    /// Attaches a cooperative [`CancelToken`], polled at the step loop's
+    /// checkpoints (see [`crate::sim`]). A tripped token surfaces as
+    /// [`CoreError::Cancelled`]; ρ up to that step is bitwise the
+    /// uncancelled sweep's.
     #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
+    pub fn with_cancel(self, token: CancelToken) -> Self {
+        Self { exec: ExecConfig { cancel: Some(token), ..self.exec }, ..self }
     }
 
     /// The attached noise model.
     pub fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
-
-    fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            qudit_core::par::max_threads()
-        } else {
-            self.threads
-        }
+        &self.exec.noise
     }
 
     /// Compiles a circuit into its reusable density execution plan: the
@@ -282,11 +253,11 @@ impl DensityMatrixSimulator {
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledDensityCircuit> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
+        let kernels = self.exec.kernels(circuit)?;
         Ok(CompiledDensityCircuit {
             topology: Arc::new(DensityKernels::compile(&kernels, &self.superop)?),
             binds: BindBuffers::default(),
-            noise: self.noise.clone(),
+            noise: self.exec.noise.clone(),
         })
     }
 
@@ -311,10 +282,11 @@ impl DensityMatrixSimulator {
     ) -> Result<(DensityMatrix, RunHealth)> {
         let rho0 =
             DensityMatrix::zero(compiled.topology.dims.clone()).map_err(CircuitError::Core)?;
-        self.run_compiled_from_detailed(compiled, &rho0)
+        self.run_compiled_from_detailed(compiled, rho0)
     }
 
-    /// Runs a precompiled circuit from an arbitrary initial density matrix.
+    /// Runs a precompiled circuit from an arbitrary initial density matrix,
+    /// evolving it in place (pass a clone to keep the original).
     ///
     /// # Errors
     /// Returns an error if the register differs, or if this simulator's noise
@@ -323,7 +295,7 @@ impl DensityMatrixSimulator {
     pub fn run_compiled_from(
         &self,
         compiled: &CompiledDensityCircuit,
-        initial: &DensityMatrix,
+        initial: DensityMatrix,
     ) -> Result<DensityMatrix> {
         Ok(self.run_compiled_from_detailed(compiled, initial)?.0)
     }
@@ -338,131 +310,20 @@ impl DensityMatrixSimulator {
     pub fn run_compiled_from_detailed(
         &self,
         compiled: &CompiledDensityCircuit,
-        initial: &DensityMatrix,
+        initial: DensityMatrix,
     ) -> Result<(DensityMatrix, RunHealth)> {
-        self.check_noise(compiled)?;
-        if initial.radix().dims() != compiled.topology.dims {
-            return Err(CircuitError::InvalidTargets(format!(
-                "initial state register {:?} does not match circuit register {:?}",
-                initial.radix().dims(),
-                compiled.topology.dims
-            )));
-        }
-        if let Some(token) = &self.cancel {
-            token.check(0).map_err(CircuitError::Core)?;
-        }
-        let cadence = self.guard.cadence.max(1);
-        let mut rho = initial.clone();
-        let mut scratch = Vec::new();
-        let threads = self.resolved_threads();
-        let mut monitor = HealthMonitor::new(self.guard);
-        let mut bind_cursor = 0usize;
-        for (step_index, step) in compiled.topology.steps.iter().enumerate() {
-            match step {
-                DensityStep::Unitary { plan, kind, op } => {
-                    let (kind, op) = compiled.binds.resolve(&mut bind_cursor, step_index, kind, op);
-                    rho.apply_unitary_prepared(plan, kind, op, &mut scratch)
-                        .map_err(CircuitError::Core)?;
-                }
-                DensityStep::Super { plan, kind, sup, fallback, defect_tol } => {
-                    let (kind, sup) =
-                        compiled.binds.resolve(&mut bind_cursor, step_index, kind, sup);
-                    // Fault injection corrupts a *clone* of the sweep, so the
-                    // fallback path below reproduces the clean result.
-                    #[cfg(feature = "fault-inject")]
-                    let corrupted =
-                        qudit_core::guard::inject::superop_corruption(step_index).map(|delta| {
-                            let mut c = sup.clone();
-                            c[(0, 0)] += qudit_core::complex::c64(delta, 0.0);
-                            let kind = qudit_core::apply::OpKind::classify(&c);
-                            (c, kind)
-                        });
-                    #[cfg(feature = "fault-inject")]
-                    let (sup, kind) = match &corrupted {
-                        Some((c, k)) => (c, k),
-                        None => (sup, kind),
-                    };
-                    let mut degraded = false;
-                    if monitor.is_enabled()
-                        && matches!(monitor.config().policy, GuardPolicy::FallBack)
-                    {
-                        // Pre-sweep trace-preservation check; NaN defects
-                        // count as unhealthy.
-                        let defect = SuperPlan::trace_defect(sup, plan.sub_dim());
-                        if defect > defect_tol + monitor.config().tol || defect.is_nan() {
-                            if fallback.is_empty() {
-                                // Parametric sweeps carry no fallback (their
-                                // constituents would go stale on rebind).
-                                return Err(CircuitError::Core(CoreError::NumericalHealth {
-                                    step: step_index,
-                                    metric: HealthMetric::Superop,
-                                    value: defect,
-                                }));
-                            }
-                            for fb in fallback {
-                                match fb {
-                                    SuperFallback::Unitary { plan, kind, op } => rho
-                                        .apply_unitary_prepared(plan, kind, op, &mut scratch)
-                                        .map_err(CircuitError::Core)?,
-                                    SuperFallback::Kraus(ch) => rho
-                                        .apply_kraus_prepared(
-                                            &ch.plan,
-                                            ch.channel.operators(),
-                                            &ch.kinds,
-                                            &mut scratch,
-                                        )
-                                        .map_err(CircuitError::Core)?,
-                                }
-                            }
-                            monitor.record_fallback();
-                            degraded = true;
-                        }
-                    }
-                    if !degraded {
-                        if threads > 1 {
-                            rho.apply_superop_prepared_threads(plan, kind, sup, threads)
-                                .map_err(CircuitError::Core)?;
-                        } else {
-                            rho.apply_superop_prepared(plan, kind, sup, &mut scratch)
-                                .map_err(CircuitError::Core)?;
-                        }
-                    }
-                }
-                DensityStep::Kraus(ch) => {
-                    rho.apply_kraus_prepared(
-                        &ch.plan,
-                        ch.channel.operators(),
-                        &ch.kinds,
-                        &mut scratch,
-                    )
-                    .map_err(CircuitError::Core)?;
-                }
-            }
-            #[cfg(feature = "fault-inject")]
-            qudit_core::guard::inject::apply_state_faults(
-                step_index,
-                rho.matrix_mut().as_mut_slice(),
-            );
-            if monitor.due() {
-                monitor.check_density(step_index, rho.matrix_mut()).map_err(CircuitError::Core)?;
-            }
-            // Cooperative cancellation checkpoint, on the same cadence as
-            // the guard (after it, so a guard failure takes precedence at
-            // the shared boundary).
-            if let Some(token) = &self.cancel {
-                if (step_index + 1) % cadence == 0 {
-                    token.check(step_index).map_err(CircuitError::Core)?;
-                }
-            }
-        }
-        // Final checkpoint: guarantees at least one check per guarded run and
-        // catches damage introduced after the last cadence boundary.
-        if monitor.is_enabled() {
-            monitor
-                .check_density(compiled.topology.steps.len(), rho.matrix_mut())
-                .map_err(CircuitError::Core)?;
-        }
-        Ok((rho, monitor.health()))
+        self.exec.check_noise(&compiled.noise)?;
+        check_register(initial.radix().dims(), &compiled.topology.dims)?;
+        let mut rho = Rho {
+            rho: initial,
+            binds: &compiled.binds,
+            cursor: 0,
+            scratch: Vec::new(),
+            threads: self.exec.resolved_threads(),
+            monitor: HealthMonitor::new(self.exec.guard),
+        };
+        drive(&mut rho, &compiled.topology.steps, &self.exec.guard, self.exec.cancel.as_ref())?;
+        Ok((rho.rho, rho.monitor.health()))
     }
 
     /// Rebinds a compiled density plan to `params` and runs it from
@@ -476,20 +337,9 @@ impl DensityMatrixSimulator {
         params: &[f64],
     ) -> Result<DensityMatrix> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_noise(compiled)?;
+        self.exec.check_noise(&compiled.noise)?;
         compiled.bind(params)?;
         self.run_compiled(compiled)
-    }
-
-    fn check_noise(&self, compiled: &CompiledDensityCircuit) -> Result<()> {
-        if compiled.noise != self.noise {
-            return Err(CircuitError::Unsupported(
-                "compiled circuit was built under a different noise model; recompile with \
-                 this simulator's model"
-                    .into(),
-            ));
-        }
-        Ok(())
     }
 
     /// Runs the circuit from `|0...0⟩⟨0...0|`.
@@ -497,8 +347,7 @@ impl DensityMatrixSimulator {
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn run(&self, circuit: &Circuit) -> Result<DensityMatrix> {
-        let rho0 = DensityMatrix::zero(circuit.dims().to_vec()).map_err(CircuitError::Core)?;
-        self.run_from(circuit, &rho0)
+        self.run_compiled(&self.compile(circuit)?)
     }
 
     /// Runs the circuit from an arbitrary initial density matrix.
@@ -506,15 +355,8 @@ impl DensityMatrixSimulator {
     /// # Errors
     /// Returns an error if the register differs or an instruction is invalid.
     pub fn run_from(&self, circuit: &Circuit, initial: &DensityMatrix) -> Result<DensityMatrix> {
-        if initial.radix() != circuit.radix() {
-            return Err(CircuitError::InvalidTargets(format!(
-                "initial state register {:?} does not match circuit register {:?}",
-                initial.radix().dims(),
-                circuit.dims()
-            )));
-        }
-        let compiled = self.compile(circuit)?;
-        self.run_compiled_from(&compiled, initial)
+        check_register(initial.radix().dims(), circuit.dims())?;
+        self.run_compiled_from(&self.compile(circuit)?, initial.clone())
     }
 
     /// Expectation value of an observable after running the circuit.
@@ -537,11 +379,11 @@ impl DensityMatrixSimulator {
         shots: usize,
     ) -> Result<HashMap<Vec<usize>, usize>> {
         let rho = self.run(circuit)?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(self.exec.seed);
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
         for _ in 0..shots {
             let mut digits = rho.sample(&mut rng);
-            apply_readout_flip(&mut digits, circuit.dims(), self.noise.readout_flip, &mut rng);
+            apply_readout_flip(&mut digits, circuit.dims(), self.exec.noise.readout_flip, &mut rng);
             *counts.entry(digits).or_insert(0) += 1;
         }
         Ok(counts)
@@ -556,6 +398,91 @@ impl DensityMatrixSimulator {
         let noisy = self.run(circuit)?;
         let ideal_state = crate::sim::StatevectorSimulator::new().run(circuit)?;
         noisy.fidelity_with_pure(&ideal_state).map_err(CircuitError::Core)
+    }
+}
+
+/// The density backend of [`drive`]: ρ evolving in place, the bind cursor,
+/// the kernel scratch and the guard monitor.
+struct Rho<'a> {
+    rho: DensityMatrix,
+    binds: &'a BindBuffers,
+    cursor: usize,
+    scratch: Vec<Complex64>,
+    threads: usize,
+    monitor: HealthMonitor,
+}
+
+impl Rho<'_> {
+    /// One superoperator sweep. Under [`GuardPolicy::FallBack`] a sweep that
+    /// fails its trace-preservation check (NaN counts as failing) replays its
+    /// binding-invariant constituents through the `Unitary` and `Kraus` arms,
+    /// or fails when it has none (a parametric sweep).
+    fn superop(
+        &mut self,
+        index: usize,
+        plan: &SuperPlan,
+        (kind, sup): (&OpKind, &CMatrix),
+        fallback: &[DensityStep],
+        defect_tol: f64,
+    ) -> Result<()> {
+        #[cfg(feature = "fault-inject")]
+        let corrupted = qudit_core::guard::inject::superop_corruption(index, sup);
+        #[cfg(feature = "fault-inject")]
+        let (kind, sup) = corrupted.as_ref().map_or((kind, sup), |(k, c)| (k, c));
+        let guard = *self.monitor.config();
+        if guard.enabled && matches!(guard.policy, GuardPolicy::FallBack) {
+            let defect = SuperPlan::trace_defect(sup, plan.sub_dim());
+            if defect > defect_tol + guard.tol || defect.is_nan() {
+                if fallback.is_empty() {
+                    return Err(CircuitError::Core(CoreError::NumericalHealth {
+                        step: index,
+                        metric: HealthMetric::Superop,
+                        value: defect,
+                    }));
+                }
+                for step in fallback {
+                    self.apply(index, step)?;
+                }
+                self.monitor.record_fallback();
+                return Ok(());
+            }
+        }
+        if self.threads > 1 {
+            self.rho.apply_superop_prepared_threads(plan, kind, sup, self.threads)
+        } else {
+            self.rho.apply_superop_prepared(plan, kind, sup, &mut self.scratch)
+        }
+        .map_err(CircuitError::Core)
+    }
+}
+
+impl Backend for Rho<'_> {
+    type Step = DensityStep;
+
+    fn apply(&mut self, index: usize, step: &DensityStep) -> Result<()> {
+        let (rho, scratch) = (&mut self.rho, &mut self.scratch);
+        match step {
+            DensityStep::Unitary { plan, kind, op } => {
+                let (kind, op) = self.binds.resolve(&mut self.cursor, index, kind, op);
+                rho.apply_unitary_prepared(plan, kind, op, scratch).map_err(CircuitError::Core)
+            }
+            DensityStep::Super { plan, kind, sup, fallback, defect_tol } => {
+                let resolved = self.binds.resolve(&mut self.cursor, index, kind, sup);
+                self.superop(index, plan, resolved, fallback, *defect_tol)
+            }
+            DensityStep::Kraus(ch) => rho
+                .apply_kraus_prepared(&ch.plan, ch.channel.operators(), &ch.kinds, scratch)
+                .map_err(CircuitError::Core),
+        }
+    }
+
+    #[cfg(feature = "fault-inject")]
+    fn amplitudes_mut(&mut self) -> &mut [Complex64] {
+        self.rho.matrix_mut().as_mut_slice()
+    }
+
+    fn checkpoint(&mut self, index: usize) -> Result<()> {
+        self.monitor.check_density(index, self.rho.matrix_mut()).map_err(CircuitError::Core)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The pure-state executor: one compiled-plan traversal over a chunk of
-//! stochastic runs that share one binding.
+//! stochastic runs that share one binding, as a backend of the shared step
+//! loop (`sim::exec::drive`, which owns the guard and cancel checkpoints).
 //!
 //! Deterministic steps batch across *all* live runs of a chunk as
 //! matrix–panel products over the interleaved panel of
@@ -24,11 +25,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use qudit_core::apply::{ApplyPlan, OpKind};
-use qudit_core::cancel::CancelToken;
 use qudit_core::complex::Complex64;
 use qudit_core::ensemble::EnsembleState;
 use qudit_core::error::CoreError;
-use qudit_core::guard::{GuardConfig, HealthMonitor, RunHealth};
+use qudit_core::guard::{HealthMonitor, RunHealth};
 use qudit_core::matrix::CMatrix;
 use qudit_core::sampling::Cdf;
 use qudit_core::state::QuditState;
@@ -36,15 +36,8 @@ use qudit_core::Radix;
 
 use crate::error::{CircuitError, Result};
 use crate::sim::apply_readout_flip;
+use crate::sim::exec::{check_register, drive, Backend, ExecConfig};
 use crate::sim::kernels::{BindBuffers, ChannelKernel, CircuitKernels, ExecStep, RunScratch};
-
-/// The simulator settings a chunk needs, passed explicitly so the executor
-/// stays decoupled from the simulator structs.
-pub(crate) struct EnsembleConfig<'a> {
-    pub guard: GuardConfig,
-    pub cancel: Option<&'a CancelToken>,
-    pub readout_flip: f64,
-}
 
 /// One recorded measurement: `(targets, observed digits after readout
 /// flip)`.
@@ -78,123 +71,103 @@ struct Group {
     monitor: HealthMonitor,
 }
 
-/// Rejects an initial state whose register differs from the plan's.
-pub(crate) fn check_register(kernels: &CircuitKernels, initial: &QuditState) -> Result<()> {
-    if initial.radix().dims() != kernels.dims {
-        return Err(CircuitError::InvalidTargets(format!(
-            "initial state register {:?} does not match circuit register {:?}",
-            initial.radix().dims(),
-            kernels.dims
-        )));
-    }
-    Ok(())
-}
-
 /// Runs one member per RNG in `rngs` through a compiled plan from `initial`
-/// as a lazily splitting ensemble. Deterministic steps batch across all live
-/// columns; stochastic events compute branch probabilities once per *group*,
-/// draw each member's branch from its own RNG, and split the panel at
-/// divergence points. Each RNG is left where its member's stream ends, so a
-/// caller can keep drawing from it.
+/// as a lazily splitting ensemble, under the settings' guard, cancel token
+/// and readout flip. Deterministic steps batch across all live columns;
+/// stochastic events compute branch probabilities once per *group*, draw
+/// each member's branch from its own RNG, and split the panel at divergence
+/// points. Each RNG is left where its member's stream ends, so a caller can
+/// keep drawing from it.
 ///
 /// Any member's failure (guard trip, zero-mass branch) fails the whole
 /// chunk: a trajectory estimate has no meaning with a member missing.
 pub(crate) fn run_chunk(
-    cfg: &EnsembleConfig<'_>,
+    exec: &ExecConfig,
     kernels: &CircuitKernels,
     binds: &BindBuffers,
     initial: &QuditState,
     rngs: &mut [StdRng],
 ) -> Result<ChunkOutput> {
-    let core = CircuitError::Core;
     if rngs.is_empty() {
         return Ok(ChunkOutput { groups: Vec::new(), records: Vec::new() });
     }
-    check_register(kernels, initial)?;
-    if let Some(token) = cfg.cancel {
-        token.check(0).map_err(core)?;
-    }
-    let cadence = cfg.guard.cadence.max(1);
-    let mut ens = EnsembleState::from_state(initial);
-    let mut groups =
-        vec![Group { members: (0..rngs.len()).collect(), monitor: HealthMonitor::new(cfg.guard) }];
-    let mut records = vec![Vec::new(); rngs.len()];
-    let mut cursor = 0usize;
-    let mut scratch = RunScratch::default();
-
-    for (step_index, step) in kernels.steps.iter().enumerate() {
-        match step {
-            ExecStep::Apply { plan, kind, op, noise, .. } => {
-                let (kind, op) = binds.resolve(&mut cursor, step_index, kind, op);
-                let w = ens.width();
-                plan.apply_batched(kind, op, ens.data_mut(), w, &mut scratch.block)
-                    .map_err(core)?;
-                for channel in noise {
-                    channel_event(&mut ens, &mut groups, rngs, channel, &mut scratch)?;
-                }
-            }
-            ExecStep::Measure { targets } => {
-                measure_event(
-                    &mut ens,
-                    &mut groups,
-                    rngs,
-                    &mut records,
-                    targets,
-                    cfg.readout_flip,
-                )?;
-            }
-            ExecStep::Reset { target } => {
-                reset_event(&mut ens, &mut groups, rngs, *target, &mut scratch)?;
-            }
-            ExecStep::Channel(channel) => {
-                channel_event(&mut ens, &mut groups, rngs, channel, &mut scratch)?;
-            }
-            ExecStep::Barrier => {
-                for channel in &kernels.barrier_loss {
-                    channel_event(&mut ens, &mut groups, rngs, channel, &mut scratch)?;
-                }
-            }
-        }
-        #[cfg(feature = "fault-inject")]
-        qudit_core::guard::inject::apply_state_faults(step_index, ens.data_mut());
-        let w = ens.width();
-        for (col, group) in groups.iter_mut().enumerate() {
-            if group.monitor.due() {
-                group
-                    .monitor
-                    .check_statevector_col(step_index, ens.data_mut(), w, col)
-                    .map_err(core)?;
-            }
-        }
-        // Cooperative cancellation checkpoint, on the same cadence as the
-        // guard (after it, so a guard failure takes precedence at the shared
-        // boundary). Budget-armed tokens spend exactly one unit here per
-        // boundary, thread-count-invariantly.
-        if let Some(token) = cfg.cancel {
-            if (step_index + 1) % cadence == 0 {
-                token.check(step_index).map_err(core)?;
-            }
-        }
-    }
-    // A final checkpoint guarantees at least one check per guarded run and
-    // catches faults introduced after the last cadence boundary.
-    let w = ens.width();
-    for (col, group) in groups.iter_mut().enumerate() {
-        if group.monitor.is_enabled() {
-            group
-                .monitor
-                .check_statevector_col(kernels.steps.len(), ens.data_mut(), w, col)
-                .map_err(core)?;
-        }
-    }
+    check_register(initial.radix().dims(), &kernels.dims)?;
+    let mut chunk = Chunk {
+        kernels,
+        binds,
+        readout_flip: exec.noise.readout_flip,
+        ens: EnsembleState::from_state(initial),
+        groups: vec![Group {
+            members: (0..rngs.len()).collect(),
+            monitor: HealthMonitor::new(exec.guard),
+        }],
+        records: vec![Vec::new(); rngs.len()],
+        rngs,
+        cursor: 0,
+        scratch: RunScratch::default(),
+    };
+    drive(&mut chunk, &kernels.steps, &exec.guard, exec.cancel.as_ref())?;
+    let Chunk { ens, groups, records, .. } = chunk;
     let groups = ens
         .into_states()
-        .map_err(core)?
+        .map_err(CircuitError::Core)?
         .into_iter()
         .zip(groups)
         .map(|(state, g)| GroupOutcome { state, members: g.members, health: g.monitor.health() })
         .collect();
     Ok(ChunkOutput { groups, records })
+}
+
+/// A chunk in flight: the panel, its branch-prefix groups, the caller's
+/// RNGs, the per-member records and the bind cursor.
+struct Chunk<'a> {
+    kernels: &'a CircuitKernels,
+    binds: &'a BindBuffers,
+    readout_flip: f64,
+    ens: EnsembleState,
+    groups: Vec<Group>,
+    records: Vec<Vec<Record>>,
+    rngs: &'a mut [StdRng],
+    cursor: usize,
+    scratch: RunScratch,
+}
+
+impl Backend for Chunk<'_> {
+    type Step = ExecStep;
+
+    fn apply(&mut self, index: usize, step: &ExecStep) -> Result<()> {
+        match step {
+            ExecStep::Apply { plan, kind, op, noise, .. } => {
+                let (kind, op) = self.binds.resolve(&mut self.cursor, index, kind, op);
+                let w = self.ens.width();
+                plan.apply_batched(kind, op, self.ens.data_mut(), w, &mut self.scratch.block)
+                    .map_err(CircuitError::Core)?;
+                noise.iter().try_for_each(|channel| self.channel_event(channel))
+            }
+            ExecStep::Measure { targets } => self.measure_event(targets),
+            ExecStep::Reset { target } => self.reset_event(*target),
+            ExecStep::Channel(channel) => self.channel_event(channel),
+            ExecStep::Barrier => {
+                self.kernels.barrier_loss.iter().try_for_each(|channel| self.channel_event(channel))
+            }
+        }
+    }
+
+    #[cfg(feature = "fault-inject")]
+    fn amplitudes_mut(&mut self) -> &mut [Complex64] {
+        self.ens.data_mut()
+    }
+
+    fn checkpoint(&mut self, index: usize) -> Result<()> {
+        let w = self.ens.width();
+        for (col, group) in self.groups.iter_mut().enumerate() {
+            group
+                .monitor
+                .check_statevector_col(index, self.ens.data_mut(), w, col)
+                .map_err(CircuitError::Core)?;
+        }
+        Ok(())
+    }
 }
 
 /// Applies `op` to a single ensemble column through the **serial**
@@ -285,67 +258,6 @@ fn select_branch(probs: &[f64], total: f64, r: f64) -> Option<usize> {
     selected
 }
 
-/// A Kraus channel event over every live group: probabilities once per
-/// group, one draw per member, lazy panel splits at divergence.
-fn channel_event(
-    ens: &mut EnsembleState,
-    groups: &mut Vec<Group>,
-    rngs: &mut [StdRng],
-    kernel: &ChannelKernel,
-    scratch: &mut RunScratch,
-) -> Result<()> {
-    let core = CircuitError::Core;
-    let ops = kernel.channel.operators();
-    // Unitary channel: deterministic, so it batches across the whole panel —
-    // no draws, no renormalisation, no splits.
-    if ops.len() == 1 {
-        let w = ens.width();
-        kernel
-            .plan
-            .apply_batched(&kernel.kinds[0], &ops[0], ens.data_mut(), w, &mut scratch.block)
-            .map_err(core)?;
-        return Ok(());
-    }
-    let n_groups = groups.len();
-    for gi in 0..n_groups {
-        let w = ens.width();
-        scratch.branch_probs.clear();
-        for (op, kind) in ops.iter().zip(kernel.kinds.iter()) {
-            let p = kernel
-                .plan
-                .norm_sqr_after_col(kind, op, ens.data(), w, gi, &mut scratch.block)
-                .map_err(core)?;
-            scratch.branch_probs.push(p);
-        }
-        let total: f64 = scratch.branch_probs.iter().sum();
-        if total <= 0.0 || total.is_nan() {
-            // All branch norms vanish only for a zero state (Kraus channels
-            // are trace-preserving).
-            return Err(core(CoreError::InvalidProbability(
-                "channel branch probabilities carry no mass (zero state)".into(),
-            )));
-        }
-        // One `gen::<f64>()` per member; a positive total implies a positive
-        // branch, so the selection always succeeds.
-        let choices: Vec<usize> = groups[gi]
-            .members
-            .iter()
-            .map(|&m| select_branch(&scratch.branch_probs, total, rngs[m].gen::<f64>()))
-            .collect::<Option<_>>()
-            .ok_or_else(|| {
-                core(CoreError::InvalidProbability(
-                    "channel branch probabilities carry no mass".into(),
-                ))
-            })?;
-        split_group(ens, groups, gi, &choices, ops.len(), |ens, bc, k| {
-            apply_col(&kernel.plan, &kernel.kinds[k], &ops[k], ens, bc, &mut *scratch)
-                .map_err(core)?;
-            ens.normalize_col(bc).map_err(core)
-        })?;
-    }
-    Ok(())
-}
-
 /// The outcome draw of a measurement or reset: one
 /// [`Cdf::try_draw`] from the member's stream over the group's marginal.
 fn draw_outcome(cdf: &Cdf, rng: &mut StdRng) -> Result<usize> {
@@ -361,77 +273,124 @@ fn marginal_cdf(plan: &ApplyPlan, data: &[Complex64], width: usize, col: usize) 
     Cdf::from_weights(plan.marginal_probabilities_strided(data, width, col, |z| z.norm_sqr()))
 }
 
-/// A mid-circuit measurement over every live group. Each member draws its
-/// outcome and then its readout-flip draws from its own stream, and records
-/// `(targets, flipped digits)`; the group splits by the drawn (unflipped)
-/// outcome.
-fn measure_event(
-    ens: &mut EnsembleState,
-    groups: &mut Vec<Group>,
-    rngs: &mut [StdRng],
-    records: &mut [Vec<Record>],
-    targets: &[usize],
-    readout_flip: f64,
-) -> Result<()> {
-    let core = CircuitError::Core;
-    let radix = ens.radix().clone();
-    let plan = ApplyPlan::new(&radix, targets).map_err(core)?;
-    let target_dims: Vec<usize> = targets.iter().map(|&t| radix.dims()[t]).collect();
-    let target_radix = Radix::new(target_dims.clone()).map_err(core)?;
-    let n_groups = groups.len();
-    for gi in 0..n_groups {
-        let cdf = marginal_cdf(&plan, ens.data(), ens.width(), gi);
-        let mut choices = Vec::with_capacity(groups[gi].members.len());
-        for &m in &groups[gi].members {
-            let outcome = draw_outcome(&cdf, &mut rngs[m])?;
-            let mut digits = target_radix.digits_of(outcome).map_err(core)?;
-            apply_readout_flip(&mut digits, &target_dims, readout_flip, &mut rngs[m]);
-            records[m].push((targets.to_vec(), digits));
-            choices.push(outcome);
+impl Chunk<'_> {
+    /// A Kraus channel event over every live group: probabilities once per
+    /// group, one draw per member, lazy panel splits at divergence.
+    fn channel_event(&mut self, kernel: &ChannelKernel) -> Result<()> {
+        let Chunk { ens, groups, rngs, scratch, .. } = self;
+        let core = CircuitError::Core;
+        let ops = kernel.channel.operators();
+        // Unitary channel: deterministic, so it batches across the whole panel —
+        // no draws, no renormalisation, no splits.
+        if ops.len() == 1 {
+            let w = ens.width();
+            kernel
+                .plan
+                .apply_batched(&kernel.kinds[0], &ops[0], ens.data_mut(), w, &mut scratch.block)
+                .map_err(core)?;
+            return Ok(());
         }
-        split_group(ens, groups, gi, &choices, plan.sub_dim(), |ens, bc, outcome| {
+        let n_groups = groups.len();
+        for gi in 0..n_groups {
             let w = ens.width();
-            plan.collapse_col(ens.data_mut(), w, bc, outcome);
-            ens.normalize_col(bc).map_err(core)
-        })?;
-    }
-    Ok(())
-}
-
-/// A reset over every live group: measure the target (one draw per member),
-/// split by observed level, rotate each branch column back to `|0⟩`.
-fn reset_event(
-    ens: &mut EnsembleState,
-    groups: &mut Vec<Group>,
-    rngs: &mut [StdRng],
-    target: usize,
-    scratch: &mut RunScratch,
-) -> Result<()> {
-    let core = CircuitError::Core;
-    let radix = ens.radix().clone();
-    let plan = ApplyPlan::new(&radix, &[target]).map_err(core)?;
-    let d = radix.dims()[target];
-    let n_groups = groups.len();
-    for gi in 0..n_groups {
-        let cdf = marginal_cdf(&plan, ens.data(), ens.width(), gi);
-        let choices = groups[gi]
-            .members
-            .iter()
-            .map(|&m| draw_outcome(&cdf, &mut rngs[m]))
-            .collect::<Result<Vec<_>>>()?;
-        split_group(ens, groups, gi, &choices, d, |ens, bc, level| {
-            let w = ens.width();
-            plan.collapse_col(ens.data_mut(), w, bc, level);
-            ens.normalize_col(bc).map_err(core)?;
-            if level != 0 {
-                let shift_back = power_of_shift(d, d - level);
-                let kind = OpKind::classify(&shift_back);
-                apply_col(&plan, &kind, &shift_back, ens, bc, &mut *scratch).map_err(core)?;
+            scratch.branch_probs.clear();
+            for (op, kind) in ops.iter().zip(kernel.kinds.iter()) {
+                let p = kernel
+                    .plan
+                    .norm_sqr_after_col(kind, op, ens.data(), w, gi, &mut scratch.block)
+                    .map_err(core)?;
+                scratch.branch_probs.push(p);
             }
-            Ok(())
-        })?;
+            let total: f64 = scratch.branch_probs.iter().sum();
+            if total <= 0.0 || total.is_nan() {
+                // All branch norms vanish only for a zero state (Kraus channels
+                // are trace-preserving).
+                return Err(core(CoreError::InvalidProbability(
+                    "channel branch probabilities carry no mass (zero state)".into(),
+                )));
+            }
+            // One `gen::<f64>()` per member; a positive total implies a positive
+            // branch, so the selection always succeeds.
+            let choices: Vec<usize> = groups[gi]
+                .members
+                .iter()
+                .map(|&m| select_branch(&scratch.branch_probs, total, rngs[m].gen::<f64>()))
+                .collect::<Option<_>>()
+                .ok_or_else(|| {
+                    core(CoreError::InvalidProbability(
+                        "channel branch probabilities carry no mass".into(),
+                    ))
+                })?;
+            split_group(ens, groups, gi, &choices, ops.len(), |ens, bc, k| {
+                apply_col(&kernel.plan, &kernel.kinds[k], &ops[k], ens, bc, &mut *scratch)
+                    .map_err(core)?;
+                ens.normalize_col(bc).map_err(core)
+            })?;
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// A mid-circuit measurement over every live group. Each member draws its
+    /// outcome and then its readout-flip draws from its own stream, and records
+    /// `(targets, flipped digits)`; the group splits by the drawn (unflipped)
+    /// outcome.
+    fn measure_event(&mut self, targets: &[usize]) -> Result<()> {
+        let Chunk { ens, groups, rngs, records, readout_flip, .. } = self;
+        let core = CircuitError::Core;
+        let radix = ens.radix().clone();
+        let plan = ApplyPlan::new(&radix, targets).map_err(core)?;
+        let target_dims: Vec<usize> = targets.iter().map(|&t| radix.dims()[t]).collect();
+        let target_radix = Radix::new(target_dims.clone()).map_err(core)?;
+        let n_groups = groups.len();
+        for gi in 0..n_groups {
+            let cdf = marginal_cdf(&plan, ens.data(), ens.width(), gi);
+            let mut choices = Vec::with_capacity(groups[gi].members.len());
+            for &m in &groups[gi].members {
+                let outcome = draw_outcome(&cdf, &mut rngs[m])?;
+                let mut digits = target_radix.digits_of(outcome).map_err(core)?;
+                apply_readout_flip(&mut digits, &target_dims, *readout_flip, &mut rngs[m]);
+                records[m].push((targets.to_vec(), digits));
+                choices.push(outcome);
+            }
+            split_group(ens, groups, gi, &choices, plan.sub_dim(), |ens, bc, outcome| {
+                let w = ens.width();
+                plan.collapse_col(ens.data_mut(), w, bc, outcome);
+                ens.normalize_col(bc).map_err(core)
+            })?;
+        }
+        Ok(())
+    }
+
+    /// A reset over every live group: measure the target (one draw per member),
+    /// split by observed level, rotate each branch column back to `|0⟩`.
+    fn reset_event(&mut self, target: usize) -> Result<()> {
+        let Chunk { ens, groups, rngs, scratch, .. } = self;
+        let core = CircuitError::Core;
+        let radix = ens.radix().clone();
+        let plan = ApplyPlan::new(&radix, &[target]).map_err(core)?;
+        let d = radix.dims()[target];
+        let n_groups = groups.len();
+        for gi in 0..n_groups {
+            let cdf = marginal_cdf(&plan, ens.data(), ens.width(), gi);
+            let choices = groups[gi]
+                .members
+                .iter()
+                .map(|&m| draw_outcome(&cdf, &mut rngs[m]))
+                .collect::<Result<Vec<_>>>()?;
+            split_group(ens, groups, gi, &choices, d, |ens, bc, level| {
+                let w = ens.width();
+                plan.collapse_col(ens.data_mut(), w, bc, level);
+                ens.normalize_col(bc).map_err(core)?;
+                if level != 0 {
+                    let shift_back = power_of_shift(d, d - level);
+                    let kind = OpKind::classify(&shift_back);
+                    apply_col(&plan, &kind, &shift_back, ens, bc, &mut *scratch).map_err(core)?;
+                }
+                Ok(())
+            })?;
+        }
+        Ok(())
+    }
 }
 
 /// `X^k` for the generalised shift, used to un-compute reset outcomes.

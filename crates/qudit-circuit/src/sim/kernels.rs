@@ -495,8 +495,9 @@ pub(crate) enum DensityStep {
     Unitary { plan: ApplyPlan, kind: OpKind, op: CMatrix },
     /// One superoperator sweep over vectorised ρ: a whole channel — possibly
     /// with folded adjacent unitaries and further channels — in one pass.
-    /// `fallback` records the constituent operations in program order so a
-    /// sweep whose matrix fails its runtime trace-preservation check under
+    /// `fallback` records the constituent operations in program order, as
+    /// binding-invariant `Unitary` and `Kraus` steps, so a sweep whose
+    /// matrix fails its runtime trace-preservation check under
     /// [`qudit_core::guard::GuardPolicy::FallBack`] can degrade to the
     /// per-constituent path; it is empty for parameter-dependent sweeps
     /// (their constituents would go stale on rebind, so a defect there fails
@@ -507,22 +508,11 @@ pub(crate) enum DensityStep {
         plan: SuperPlan,
         kind: OpKind,
         sup: CMatrix,
-        fallback: Vec<SuperFallback>,
+        fallback: Vec<DensityStep>,
         defect_tol: f64,
     },
     /// Per-term Kraus fallback for channels whose superoperator would be
     /// over budget or cost more than `2m` strided sweeps.
-    Kraus(ChannelKernel),
-}
-
-/// One constituent of a superoperator sweep's degradation path: the original
-/// operation the sweep folded, applied directly when the sweep's matrix
-/// fails its runtime health check (see [`DensityStep::Super`]).
-#[derive(Debug, Clone)]
-pub(crate) enum SuperFallback {
-    /// A deterministic map applied as the two-sided sandwich.
-    Unitary { plan: ApplyPlan, kind: OpKind, op: CMatrix },
-    /// A channel applied on the per-term Kraus path.
     Kraus(ChannelKernel),
 }
 
@@ -945,7 +935,7 @@ impl DensityFrontier<'_> {
                 }
                 DensityItem::Unitary { targets, plan, kind, op, recipe: None, tol } => {
                     defect_tol += tol;
-                    fallback.push(SuperFallback::Unitary { plan, kind, op: op.clone() });
+                    fallback.push(DensityStep::Unitary { plan, kind, op: op.clone() });
                     SuperPart::Const {
                         sup: embed_super(
                             &SuperPlan::unitary_superop(&op),
@@ -961,7 +951,7 @@ impl DensityFrontier<'_> {
                     let part = SuperPart::Const {
                         sup: embed_super(&sup, &kernel.targets, &block.targets, self.dims)?,
                     };
-                    fallback.push(SuperFallback::Kraus(kernel));
+                    fallback.push(DensityStep::Kraus(kernel));
                     part
                 }
             });

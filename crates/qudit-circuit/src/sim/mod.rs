@@ -18,12 +18,12 @@
 //! precomputed once and reused across shots and trajectories. Use
 //! [`StatevectorSimulator::compile`] to hold on to the plan across calls.
 //!
-//! Two step loops execute plans. The pure-state executor (`sim::ensemble`)
-//! runs a chunk of stochastic runs as one lazily splitting panel;
-//! [`StatevectorSimulator`] runs every shot, population column and served
-//! job through it as a one-member chunk, and [`TrajectorySimulator`] runs
-//! its trajectories through it in chunks of up to 64. The density-matrix
-//! back-end has its own loop over vectorised ρ.
+//! One step loop runs every plan. It checks a [`CancelToken`] on entry and,
+//! every [`GuardConfig`] `cadence` steps (guard on or off), runs the guard
+//! checkpoint and then the cancel check; an enabled guard checks once more at
+//! the end. Its pure-state backend runs a chunk of stochastic runs as one
+//! lazily splitting panel ([`StatevectorSimulator`]: one member per run;
+//! [`TrajectorySimulator`]: up to 64); its density backend evolves ρ in place.
 //!
 //! The density-matrix back-end re-compiles the shared plan one step further:
 //! every channel whose superoperator `Σ K ⊗ conj(K)` is profitable executes
@@ -38,6 +38,7 @@ pub mod introspect;
 
 mod density;
 mod ensemble;
+mod exec;
 mod kernels;
 mod statevector;
 mod trajectory;

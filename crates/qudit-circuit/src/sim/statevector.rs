@@ -9,15 +9,17 @@ use rand::SeedableRng;
 use qudit_core::cancel::CancelToken;
 use qudit_core::error::CoreError;
 use qudit_core::guard::{GuardConfig, RunHealth};
-use qudit_core::par;
+use qudit_core::sampling::Cdf;
 use qudit_core::state::QuditState;
+use qudit_core::Radix;
 
 use crate::circuit::{Circuit, Instruction};
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
 use crate::sim::apply_readout_flip;
-use crate::sim::ensemble::{check_register, run_chunk, ChunkOutput, EnsembleConfig};
+use crate::sim::ensemble::{run_chunk, ChunkOutput};
+use crate::sim::exec::{check_register, ExecConfig};
 use crate::sim::fusion::{FusionConfig, FusionStats};
 use crate::sim::kernels::{BindBuffers, CircuitKernels};
 
@@ -191,6 +193,24 @@ impl BatchBindings {
     }
 }
 
+/// Counts `shots` full-register draws from `cdf` after the readout flip. A
+/// massless (underflowed) distribution yields the ground outcome.
+pub(crate) fn count_samples(
+    counts: &mut HashMap<Vec<usize>, usize>,
+    cdf: &Cdf,
+    radix: &Radix,
+    p_flip: f64,
+    rng: &mut StdRng,
+    shots: usize,
+) {
+    for _ in 0..shots {
+        let chosen = cdf.try_draw(rng).unwrap_or(0);
+        let mut digits = radix.digits_of(chosen).expect("index in range");
+        apply_readout_flip(&mut digits, radix.dims(), p_flip, rng);
+        *counts.entry(digits).or_insert(0) += 1;
+    }
+}
+
 /// A state-vector simulator.
 ///
 /// Deterministic circuits evolve exactly; measurements, resets and explicit
@@ -219,12 +239,7 @@ impl BatchBindings {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StatevectorSimulator {
-    seed: u64,
-    noise: NoiseModel,
-    threads: usize,
-    fusion: FusionConfig,
-    guard: GuardConfig,
-    cancel: Option<CancelToken>,
+    pub(crate) exec: ExecConfig,
 }
 
 impl Default for StatevectorSimulator {
@@ -236,27 +251,19 @@ impl Default for StatevectorSimulator {
 impl StatevectorSimulator {
     /// Creates a simulator with the default seed and no noise model.
     pub fn new() -> Self {
-        Self {
-            seed: 0xC0FFEE,
-            noise: NoiseModel::noiseless(),
-            threads: 0,
-            fusion: FusionConfig::default(),
-            guard: GuardConfig::disabled(),
-            cancel: None,
-        }
+        Self::with_seed(0xC0FFEE)
     }
 
     /// Creates a simulator with an explicit seed.
     pub fn with_seed(seed: u64) -> Self {
-        Self { seed, ..Self::new() }
+        Self { exec: ExecConfig::new(seed) }
     }
 
     /// Attaches a gate-level noise model; noise channels are inserted
     /// stochastically after each gate (one trajectory).
     #[must_use]
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
+    pub fn with_noise(self, noise: NoiseModel) -> Self {
+        Self { exec: ExecConfig { noise, ..self.exec } }
     }
 
     /// Sets the worker-thread count for the parallel shot loop in
@@ -265,18 +272,16 @@ impl StatevectorSimulator {
     /// independent of the thread count: every shot and column derives its
     /// own RNG seed.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+    pub fn with_threads(self, threads: usize) -> Self {
+        Self { exec: ExecConfig { threads, ..self.exec } }
     }
 
     /// Sets the gate-fusion configuration (enabled by default; see
     /// [`crate::sim::fusion`]). Fusion changes results only at the level of
     /// floating-point rounding.
     #[must_use]
-    pub fn with_fusion(mut self, fusion: FusionConfig) -> Self {
-        self.fusion = fusion;
-        self
+    pub fn with_fusion(self, fusion: FusionConfig) -> Self {
+        Self { exec: ExecConfig { fusion, ..self.exec } }
     }
 
     /// Sets the runtime health-guard configuration (disabled by default; see
@@ -288,22 +293,17 @@ impl StatevectorSimulator {
     /// Checkpoints never mutate a healthy state, so a guarded clean run is
     /// bitwise identical to an unguarded one.
     #[must_use]
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = guard;
-        self
+    pub fn with_guard(self, guard: GuardConfig) -> Self {
+        Self { exec: ExecConfig { guard, ..self.exec } }
     }
 
-    /// Attaches a cooperative [`CancelToken`]. The run loop polls it on entry
-    /// and at every guard-cadence boundary (every
-    /// [`GuardConfig`] `cadence` steps — the cadence applies whether or not
-    /// the guard itself is enabled), surfacing a tripped token as
-    /// [`qudit_core::error::CoreError::Cancelled`]. Checkpoints never mutate
-    /// the state, so a cancelled run is bitwise identical to an uncancelled
-    /// one right up to the step at which it stops.
+    /// Attaches a cooperative [`CancelToken`], polled at the step loop's
+    /// checkpoints (see [`crate::sim`]) and between worker-pool chunks of
+    /// shot and population sweeps. A tripped token surfaces as
+    /// [`qudit_core::error::CoreError::Cancelled`].
     #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
+    pub fn with_cancel(self, token: CancelToken) -> Self {
+        Self { exec: ExecConfig { cancel: Some(token), ..self.exec } }
     }
 
     /// Compiles a circuit into its reusable execution plan (fusion pass,
@@ -312,11 +312,7 @@ impl StatevectorSimulator {
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit> {
-        Ok(CompiledCircuit {
-            topology: Arc::new(CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?),
-            binds: BindBuffers::default(),
-            noise: self.noise.clone(),
-        })
+        self.exec.compile(circuit)
     }
 
     /// Runs a precompiled circuit from `|0...0⟩` with the simulator's seed.
@@ -343,20 +339,9 @@ impl StatevectorSimulator {
         compiled: &CompiledCircuit,
         initial: &QuditState,
     ) -> Result<RunOutput> {
-        self.check_noise(compiled)?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        self.exec.check_noise(&compiled.noise)?;
+        let mut rng = StdRng::seed_from_u64(self.exec.seed);
         self.run_prepared(&compiled.topology, &compiled.binds, initial, &mut rng)
-    }
-
-    fn check_noise(&self, compiled: &CompiledCircuit) -> Result<()> {
-        if compiled.noise != self.noise {
-            return Err(CircuitError::Unsupported(
-                "compiled circuit was built under a different noise model; recompile with \
-                 this simulator's model"
-                    .into(),
-            ));
-        }
-        Ok(())
     }
 
     /// Rebinds a compiled plan to `params` and runs it from `|0...0⟩`: the
@@ -368,7 +353,7 @@ impl StatevectorSimulator {
     /// model mismatch.
     pub fn run_bound(&self, compiled: &mut CompiledCircuit, params: &[f64]) -> Result<RunOutput> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_noise(compiled)?;
+        self.exec.check_noise(&compiled.noise)?;
         compiled.bind(params)?;
         self.run_compiled(compiled)
     }
@@ -386,7 +371,7 @@ impl StatevectorSimulator {
         initial: &QuditState,
     ) -> Result<RunOutput> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_noise(compiled)?;
+        self.exec.check_noise(&compiled.noise)?;
         compiled.bind(params)?;
         self.run_compiled_from(compiled, initial)
     }
@@ -430,23 +415,15 @@ impl StatevectorSimulator {
         batch: &BatchBindings,
         initial: &QuditState,
     ) -> Result<Vec<Result<RunOutput>>> {
-        self.check_noise(compiled)?;
+        self.exec.check_noise(&compiled.noise)?;
         let kernels = &compiled.topology;
-        check_register(kernels, initial)?;
+        check_register(initial.radix().dims(), &kernels.dims)?;
         let run_col = |b: usize| {
             let mut binds = BindBuffers::default();
             kernels.bind_into(&batch.params[b], &mut binds)?;
-            self.run_prepared(kernels, &binds, initial, &mut StdRng::seed_from_u64(self.seed))
+            self.run_prepared(kernels, &binds, initial, &mut StdRng::seed_from_u64(self.exec.seed))
         };
-        let threads = self.resolved_threads();
-        let mut columns = match &self.cancel {
-            Some(token) => {
-                par::par_map_threads_counted_cancel(batch.len(), threads, token, run_col)
-                    .map_err(CircuitError::Core)?
-                    .0
-            }
-            None => par::par_map_threads(batch.len(), threads, run_col),
-        };
+        let mut columns = self.exec.par_map(batch.len(), run_col)?.0;
         // A cancelled column cancels the whole call; every other failure
         // stays in its column.
         let cancelled = |col: &Result<RunOutput>| {
@@ -483,8 +460,8 @@ impl StatevectorSimulator {
     /// Returns an error if the initial state register differs from the
     /// circuit's or an instruction is invalid.
     pub fn run_from(&self, circuit: &Circuit, initial: &QuditState) -> Result<RunOutput> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let kernels = self.exec.kernels(circuit)?;
+        let mut rng = StdRng::seed_from_u64(self.exec.seed);
         self.run_prepared(&kernels, &BindBuffers::default(), initial, &mut rng)
     }
 
@@ -513,13 +490,8 @@ impl StatevectorSimulator {
         initial: &QuditState,
         rng: &mut StdRng,
     ) -> Result<RunOutput> {
-        let cfg = EnsembleConfig {
-            guard: self.guard,
-            cancel: self.cancel.as_ref(),
-            readout_flip: self.noise.readout_flip,
-        };
         let ChunkOutput { groups, records } =
-            run_chunk(&cfg, kernels, binds, initial, std::slice::from_mut(rng))?;
+            run_chunk(&self.exec, kernels, binds, initial, std::slice::from_mut(rng))?;
         let measurements = records.into_iter().flatten().collect();
         groups
             .into_iter()
@@ -550,53 +522,34 @@ impl StatevectorSimulator {
         if !stochastic {
             // Deterministic circuit: evolve once, then draw shots from the
             // precomputed cumulative distribution (binary search per shot).
-            let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1));
-            let out = self.run_detailed(circuit)?;
-            let cdf = out.state.cdf();
-            let radix = out.state.radix();
-            for _ in 0..shots {
-                // A run output is normalised, so the distribution always has
-                // mass; the guarded draw keeps the degenerate case (an
-                // underflowed probability vector) on the documented
-                // ground-outcome convention instead of a zero-weight draw.
-                let chosen = cdf.try_draw(&mut rng).unwrap_or(0);
-                let mut digits = radix.digits_of(chosen).expect("index in range");
-                apply_readout_flip(&mut digits, circuit.dims(), self.noise.readout_flip, &mut rng);
-                *counts.entry(digits).or_insert(0) += 1;
-            }
+            let mut rng = StdRng::seed_from_u64(self.exec.seed.wrapping_add(1));
+            let state = self.run(circuit)?;
+            let flip = self.exec.noise.readout_flip;
+            count_samples(&mut counts, &state.cdf(), state.radix(), flip, &mut rng, shots);
         } else {
             // Stochastic circuit: every shot re-runs the circuit with its own
             // index-derived seed, so the shot loop is embarrassingly parallel
             // and its outcome is independent of the thread count.
-            let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
+            let kernels = self.exec.kernels(circuit)?;
             let binds = BindBuffers::default();
             let initial = QuditState::zero(circuit.dims().to_vec()).map_err(CircuitError::Core)?;
-            let threads = self.resolved_threads();
             let run_shot = |shot: usize| -> Result<Vec<usize>> {
                 let mut shot_rng = StdRng::seed_from_u64(
-                    self.seed.wrapping_add(0x9E37_79B9).wrapping_mul(shot as u64 + 1),
+                    self.exec.seed.wrapping_add(0x9E37_79B9).wrapping_mul(shot as u64 + 1),
                 );
                 let out = self.run_prepared(&kernels, &binds, &initial, &mut shot_rng)?;
                 let mut digits = out.state.sample(&mut shot_rng);
                 apply_readout_flip(
                     &mut digits,
                     circuit.dims(),
-                    self.noise.readout_flip,
+                    self.exec.noise.readout_flip,
                     &mut shot_rng,
                 );
                 Ok(digits)
             };
             // With a token attached, the shot sweep also polls it between
             // pool chunks, so a long sampling job stops within one chunk.
-            let shot_digits = match &self.cancel {
-                Some(token) => {
-                    par::par_map_threads_counted_cancel(shots, threads, token, run_shot)
-                        .map_err(CircuitError::Core)?
-                        .0
-                }
-                None => par::par_map_threads(shots, threads, run_shot),
-            };
-            for digits in shot_digits {
+            for digits in self.exec.par_map(shots, run_shot)?.0 {
                 *counts.entry(digits?).or_insert(0) += 1;
             }
         }
@@ -613,16 +566,8 @@ impl StatevectorSimulator {
         observable.expectation(&state)
     }
 
-    fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            par::max_threads()
-        } else {
-            self.threads
-        }
-    }
-
     fn circuit_is_stochastic(&self, circuit: &Circuit) -> bool {
-        !self.noise.is_noiseless()
+        !self.exec.noise.is_noiseless()
             || circuit.instructions().iter().any(|i| {
                 matches!(
                     i,

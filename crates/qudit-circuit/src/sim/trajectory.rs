@@ -22,24 +22,22 @@
 
 use std::collections::HashMap;
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qudit_core::cancel::CancelToken;
 use qudit_core::guard::{GuardConfig, RunHealth};
-use qudit_core::par;
 use qudit_core::state::QuditState;
 
 use crate::circuit::Circuit;
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
-use crate::sim::ensemble::{run_chunk, EnsembleConfig};
+use crate::sim::ensemble::run_chunk;
+use crate::sim::exec::ExecConfig;
 use crate::sim::fusion::FusionConfig;
 use crate::sim::kernels::{BindBuffers, CircuitKernels};
-use crate::sim::statevector::{CompiledCircuit, StatevectorSimulator};
+use crate::sim::statevector::{count_samples, CompiledCircuit, StatevectorSimulator};
 
 /// Most trajectories per chunk. Bounds the panel width (memory is
 /// `dim × width` amplitudes) while leaving enough members per chunk for
@@ -68,13 +66,8 @@ const MAX_CHUNK: usize = 64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrajectorySimulator {
+    exec: ExecConfig,
     n_trajectories: usize,
-    seed: u64,
-    noise: NoiseModel,
-    threads: usize,
-    fusion: FusionConfig,
-    guard: GuardConfig,
-    cancel: Option<CancelToken>,
 }
 
 /// Mean and standard error of a trajectory-averaged expectation value.
@@ -91,46 +84,34 @@ pub struct TrajectoryEstimate {
 impl TrajectorySimulator {
     /// Creates a simulator averaging over `n_trajectories` runs.
     pub fn new(n_trajectories: usize) -> Self {
-        Self {
-            n_trajectories: n_trajectories.max(1),
-            seed: 0x7247,
-            noise: NoiseModel::noiseless(),
-            threads: 0,
-            fusion: FusionConfig::default(),
-            guard: GuardConfig::disabled(),
-            cancel: None,
-        }
+        Self { exec: ExecConfig::new(0x7247), n_trajectories: n_trajectories.max(1) }
     }
 
     /// Sets the base random seed.
     #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    pub fn with_seed(self, seed: u64) -> Self {
+        Self { exec: ExecConfig { seed, ..self.exec }, ..self }
     }
 
     /// Attaches a gate-level noise model.
     #[must_use]
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
+    pub fn with_noise(self, noise: NoiseModel) -> Self {
+        Self { exec: ExecConfig { noise, ..self.exec }, ..self }
     }
 
     /// Sets the worker-thread count (`0` = automatic). Trajectories run in
     /// chunks of `min(64, ⌈n / threads⌉)` that fan out over the worker pool;
     /// estimates are bitwise independent of this setting.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+    pub fn with_threads(self, threads: usize) -> Self {
+        Self { exec: ExecConfig { threads, ..self.exec }, ..self }
     }
 
     /// Sets the gate-fusion configuration used when compiling the circuit
     /// (enabled by default; see [`crate::sim::fusion`]).
     #[must_use]
-    pub fn with_fusion(mut self, fusion: FusionConfig) -> Self {
-        self.fusion = fusion;
-        self
+    pub fn with_fusion(self, fusion: FusionConfig) -> Self {
+        Self { exec: ExecConfig { fusion, ..self.exec }, ..self }
     }
 
     /// Attaches a runtime health-guard configuration (disabled by default;
@@ -140,9 +121,8 @@ impl TrajectorySimulator {
     /// individual trajectories (plus worker-pool chunk retries); retrieve it
     /// with [`TrajectorySimulator::expectation_detailed`].
     #[must_use]
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = guard;
-        self
+    pub fn with_guard(self, guard: GuardConfig) -> Self {
+        Self { exec: ExecConfig { guard, ..self.exec }, ..self }
     }
 
     /// Attaches a cooperative [`CancelToken`], polled before each wave of
@@ -151,22 +131,13 @@ impl TrajectorySimulator {
     /// as [`qudit_core::error::CoreError::Cancelled`]; partial waves are
     /// discarded wholesale, never folded into an estimate.
     #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
+    pub fn with_cancel(self, token: CancelToken) -> Self {
+        Self { exec: ExecConfig { cancel: Some(token), ..self.exec }, ..self }
     }
 
     /// Number of trajectories.
     pub fn n_trajectories(&self) -> usize {
         self.n_trajectories
-    }
-
-    fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            par::max_threads()
-        } else {
-            self.threads
-        }
     }
 
     /// Compiles a circuit against this simulator's noise model and fusion
@@ -177,22 +148,7 @@ impl TrajectorySimulator {
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit> {
-        Ok(CompiledCircuit {
-            topology: Arc::new(CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?),
-            binds: BindBuffers::default(),
-            noise: self.noise.clone(),
-        })
-    }
-
-    fn check_compiled(&self, compiled: &CompiledCircuit) -> Result<()> {
-        if compiled.noise != self.noise {
-            return Err(CircuitError::Unsupported(
-                "compiled circuit was built under a different noise model; recompile with \
-                 this simulator's model"
-                    .into(),
-            ));
-        }
-        Ok(())
+        self.exec.compile(circuit)
     }
 
     /// Runs every trajectory through the branch-prefix chunk executor, maps
@@ -213,13 +169,8 @@ impl TrajectorySimulator {
         mut fold: impl FnMut(usize, &T),
     ) -> Result<RunHealth> {
         let initial = QuditState::zero(kernels.dims.clone()).map_err(CircuitError::Core)?;
-        let cfg = EnsembleConfig {
-            guard: self.guard,
-            cancel: self.cancel.as_ref(),
-            readout_flip: self.noise.readout_flip,
-        };
         let n = self.n_trajectories;
-        let threads = self.resolved_threads().max(1);
+        let threads = self.exec.resolved_threads().max(1);
         let width = MAX_CHUNK.min(n.div_ceil(threads));
         let n_chunks = n.div_ceil(width);
         let run_one_chunk = |chunk: usize| {
@@ -227,7 +178,7 @@ impl TrajectorySimulator {
             let mut rngs: Vec<StdRng> = (start..n.min(start + width))
                 .map(|t| StdRng::seed_from_u64(self.traj_seed(t)))
                 .collect();
-            run_chunk(&cfg, kernels, binds, &initial, &mut rngs)?
+            run_chunk(&self.exec, kernels, binds, &initial, &mut rngs)?
                 .groups
                 .into_iter()
                 .map(|g| {
@@ -240,16 +191,12 @@ impl TrajectorySimulator {
         for wave in (0..n_chunks).step_by(threads) {
             let len = threads.min(n_chunks - wave);
             let run_wave = |i: usize| run_one_chunk(wave + i);
-            let (chunks, retries) = match &self.cancel {
-                Some(token) => {
-                    // Between-wave checkpoint: a long ensemble stops within
-                    // one wave even when individual chunks are short.
-                    token.check(wave * width).map_err(CircuitError::Core)?;
-                    par::par_map_threads_counted_cancel(len, threads, token, run_wave)
-                        .map_err(CircuitError::Core)?
-                }
-                None => par::par_map_threads_counted(len, threads, run_wave),
-            };
+            // Between-wave checkpoint: a long ensemble stops within one wave
+            // even when individual chunks are short.
+            if let Some(token) = &self.exec.cancel {
+                token.check(wave * width).map_err(CircuitError::Core)?;
+            }
+            let (chunks, retries) = self.exec.par_map(len, run_wave)?;
             health.retries += retries;
             for groups in chunks {
                 let groups = groups?;
@@ -294,7 +241,7 @@ impl TrajectorySimulator {
         circuit: &Circuit,
         observable: &Observable,
     ) -> Result<(TrajectoryEstimate, RunHealth)> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
+        let kernels = self.exec.kernels(circuit)?;
         self.expectation_prepared(&kernels, &BindBuffers::default(), observable)
     }
 
@@ -310,7 +257,7 @@ impl TrajectorySimulator {
         compiled: &CompiledCircuit,
         observable: &Observable,
     ) -> Result<TrajectoryEstimate> {
-        self.check_compiled(compiled)?;
+        self.exec.check_noise(&compiled.noise)?;
         Ok(self.expectation_prepared(&compiled.topology, &compiled.binds, observable)?.0)
     }
 
@@ -326,7 +273,7 @@ impl TrajectorySimulator {
         observable: &Observable,
     ) -> Result<TrajectoryEstimate> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_compiled(compiled)?;
+        self.exec.check_noise(&compiled.noise)?;
         compiled.bind(params)?;
         self.expectation_compiled(compiled, observable)
     }
@@ -352,7 +299,7 @@ impl TrajectorySimulator {
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn outcome_distribution(&self, circuit: &Circuit) -> Result<Vec<f64>> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
+        let kernels = self.exec.kernels(circuit)?;
         self.outcome_distribution_prepared(&kernels, &BindBuffers::default())
     }
 
@@ -361,7 +308,7 @@ impl TrajectorySimulator {
     /// # Errors
     /// Returns an error for invalid dimensions or a noise model mismatch.
     pub fn outcome_distribution_compiled(&self, compiled: &CompiledCircuit) -> Result<Vec<f64>> {
-        self.check_compiled(compiled)?;
+        self.exec.check_noise(&compiled.noise)?;
         self.outcome_distribution_prepared(&compiled.topology, &compiled.binds)
     }
 
@@ -376,7 +323,7 @@ impl TrajectorySimulator {
         params: &[f64],
     ) -> Result<Vec<f64>> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_compiled(compiled)?;
+        self.exec.check_noise(&compiled.noise)?;
         compiled.bind(params)?;
         self.outcome_distribution_compiled(compiled)
     }
@@ -427,7 +374,7 @@ impl TrajectorySimulator {
         circuit: &Circuit,
         shots_per_trajectory: usize,
     ) -> Result<HashMap<Vec<usize>, usize>> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
+        let kernels = self.exec.kernels(circuit)?;
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
         self.fold_trajectories(
             &kernels,
@@ -435,20 +382,8 @@ impl TrajectorySimulator {
             |state| Ok(state.cdf()),
             |t, cdf| {
                 let mut rng = StdRng::seed_from_u64(self.traj_seed(t).wrapping_add(0xABCD));
-                for _ in 0..shots_per_trajectory {
-                    // Trajectory states are normalised; the guarded draw keeps
-                    // a degenerate (underflowed) distribution on the documented
-                    // ground-outcome convention instead of a zero-weight draw.
-                    let chosen = cdf.try_draw(&mut rng).unwrap_or(0);
-                    let mut digits = circuit.radix().digits_of(chosen).expect("index in range");
-                    crate::sim::apply_readout_flip(
-                        &mut digits,
-                        circuit.dims(),
-                        self.noise.readout_flip,
-                        &mut rng,
-                    );
-                    *counts.entry(digits).or_insert(0) += 1;
-                }
+                let (radix, flip) = (circuit.radix(), self.exec.noise.readout_flip);
+                count_samples(&mut counts, cdf, radix, flip, &mut rng, shots_per_trajectory);
             },
         )?;
         Ok(counts)
@@ -461,18 +396,13 @@ impl TrajectorySimulator {
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn run_single(&self, circuit: &Circuit, index: usize) -> Result<QuditState> {
-        let mut sv = StatevectorSimulator::with_seed(self.traj_seed(index))
-            .with_noise(self.noise.clone())
-            .with_fusion(self.fusion.clone())
-            .with_guard(self.guard);
-        if let Some(token) = &self.cancel {
-            sv = sv.with_cancel(token.clone());
-        }
-        Ok(sv.run_detailed(circuit)?.state)
+        let exec = ExecConfig { seed: self.traj_seed(index), ..self.exec.clone() };
+        Ok(StatevectorSimulator { exec }.run_detailed(circuit)?.state)
     }
 
     fn traj_seed(&self, index: usize) -> u64 {
-        self.seed
+        self.exec
+            .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((index as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
     }

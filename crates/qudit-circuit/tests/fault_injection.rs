@@ -447,3 +447,48 @@ fn mid_sweep_cancellation_partial_state_is_bitwise_identical_across_thread_count
     assert_eq!(err_1, err_4, "cancellation point must not depend on thread count");
     assert_eq!(state_1, state_4, "partial state at cancellation must be bitwise identical");
 }
+
+// ---------------------------------------------------------------------------
+// Damage outranks cancellation at a shared cadence boundary.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn guard_failure_outranks_cancellation_at_a_shared_boundary() {
+    use qudit_circuit::sim::{CancelReason, CancelToken, FusionConfig, SuperopConfig};
+
+    // Cadence 2 with check budget 2: the entry check and the boundary after
+    // step 1 spend the budget, so the boundary after step 3 cancels. A NaN
+    // poked after step 3 lands on that same boundary, where the guard runs
+    // first.
+    let mut c = Circuit::uniform(2, 3);
+    for q in [0, 1, 0, 1, 0] {
+        c.push(Gate::fourier(3), &[q]).unwrap();
+    }
+    let guard = GuardConfig::enabled().with_cadence(2);
+    let sv = StatevectorSimulator::new().with_fusion(FusionConfig::disabled()).with_guard(guard);
+    let dm = DensityMatrixSimulator::new()
+        .with_fusion(FusionConfig::disabled())
+        .with_superop(SuperopConfig::disabled())
+        .with_guard(guard);
+    let (sv_plan, dm_plan) = (sv.compile(&c).unwrap(), dm.compile(&c).unwrap());
+    assert_eq!((sv_plan.num_steps(), dm_plan.num_steps()), (5, 5));
+    let run = |poke: bool| {
+        inject::disarm_all();
+        if poke {
+            inject::arm(Fault::NanPoke { step: 3, index: 0 });
+        }
+        let budget = || CancelToken::new().with_check_budget(2);
+        let sv_err = sv.clone().with_cancel(budget()).run_compiled(&sv_plan).unwrap_err();
+        let dm_err = dm.clone().with_cancel(budget()).run_compiled_detailed(&dm_plan).unwrap_err();
+        inject::disarm_all();
+        [sv_err, dm_err]
+    };
+    // Without the poke both backends cancel at that boundary; with it, the
+    // guard's report wins.
+    let cancelled =
+        CircuitError::Core(CoreError::Cancelled { step: 3, reason: CancelReason::Requested });
+    assert_eq!(run(false), [cancelled.clone(), cancelled]);
+    for err in run(true) {
+        assert_health_error(err, HealthMetric::NonFinite);
+    }
+}

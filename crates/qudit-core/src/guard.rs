@@ -10,10 +10,10 @@
 //! * [`GuardConfig`] — cadence, tolerance and policy, threaded into the
 //!   `run_compiled`-family entry points of all three circuit simulators.
 //! * [`HealthMonitor`] — the per-run checkpoint engine. Every `cadence`
-//!   execution steps (and always once at the end of a run) it scans the
-//!   evolving state for non-finite values and checks the backend's
-//!   conservation law: statevector norm `‖ψ‖ ≈ 1`, density-matrix trace
-//!   `tr ρ ≈ 1` and hermiticity `ρ = ρ†`.
+//!   execution steps (and always once at the end of a run) the simulators'
+//!   step loop has it scan the evolving state for non-finite values and
+//!   check the backend's conservation law: statevector norm `‖ψ‖ ≈ 1`,
+//!   density-matrix trace `tr ρ ≈ 1` and hermiticity `ρ = ρ†`.
 //! * [`GuardPolicy`] — what happens on detection: fail with a typed
 //!   [`CoreError::NumericalHealth`], repair-and-count, or degrade to a
 //!   slower-but-sound execution path.
@@ -25,8 +25,8 @@
 //! A statevector checkpoint is one fused pass over the amplitudes (a single
 //! `Σ |a|²` reduction detects NaN/Inf *and* norm drift, since a sum of
 //! non-negative terms propagates non-finite values). A density checkpoint is
-//! one upper-triangle pass (finiteness + hermiticity defect) plus a diagonal
-//! trace. At the default cadence of one check per
+//! one tiled upper-triangle pass (finiteness + hermiticity defect, compared
+//! as squared moduli) plus a diagonal trace. At the default cadence of one check per
 //! [`GuardConfig::DEFAULT_CADENCE`] steps the overhead is a few percent of a
 //! dense gate application on the same state.
 //!
@@ -145,10 +145,10 @@ impl GuardConfig {
     /// A cadence of `0` is **clamped to 1** (a checkpoint after every step)
     /// rather than erroring: the builder chain stays infallible and the
     /// clamped value is the closest meaningful interpretation of "check as
-    /// often as possible". A cadence larger than the run's step count means
-    /// [`HealthMonitor::due`] never fires mid-run; the run loops still
-    /// execute exactly one final checkpoint, so every guarded run reports
-    /// `checks_run >= 1`.
+    /// often as possible" (the run loop reads a zero cadence set on the field
+    /// directly as 1 too). A cadence larger than the run's step count means no
+    /// checkpoint fires mid-run; the run loop still executes exactly one
+    /// final checkpoint, so every guarded run reports `checks_run >= 1`.
     #[must_use]
     pub fn with_cadence(mut self, cadence: usize) -> Self {
         self.cadence = cadence.max(1);
@@ -234,52 +234,33 @@ impl RunHealth {
     }
 }
 
-/// The per-run checkpoint engine: counts steps, runs the invariant checks at
-/// the configured cadence, applies the repair policy, and accumulates the
-/// [`RunHealth`] report.
+/// Side of the square tiles [`HealthMonitor::check_density`] scans: two
+/// 32 × 32 tiles of `Complex64` (the row block and its transpose) take
+/// 32 KiB.
+const DENSITY_TILE: usize = 32;
+
+/// The per-run checkpoint engine: runs the invariant checks, applies the
+/// repair policy, and accumulates the [`RunHealth`] report.
 ///
-/// Simulators create one monitor per run, call [`HealthMonitor::due`] after
-/// each execution step, and run the matching `check_*` method when it
-/// returns `true` (plus one final check at the end of the run).
+/// Simulators create one monitor per run; their step loop runs the matching
+/// `check_*` method after every `cadence`-th step and once at the end of the
+/// run.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     config: GuardConfig,
-    since_last: usize,
     health: RunHealth,
 }
 
 impl HealthMonitor {
     /// Creates a monitor for one run under the given configuration.
     pub fn new(config: GuardConfig) -> Self {
-        Self { config, since_last: 0, health: RunHealth::default() }
-    }
-
-    /// Whether checkpoints are enabled at all.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.config.enabled
+        Self { config, health: RunHealth::default() }
     }
 
     /// The active configuration.
     #[inline]
     pub fn config(&self) -> &GuardConfig {
         &self.config
-    }
-
-    /// Advances the step counter; returns `true` when a checkpoint is due.
-    /// Always `false` when the guard is disabled.
-    #[inline]
-    pub fn due(&mut self) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
-        self.since_last += 1;
-        if self.since_last >= self.config.cadence.max(1) {
-            self.since_last = 0;
-            true
-        } else {
-            false
-        }
     }
 
     /// The accumulated health report.
@@ -351,7 +332,9 @@ impl HealthMonitor {
     /// Density-matrix checkpoint: a diagonal pass for the trace plus one
     /// upper-triangle pass measuring the hermiticity defect
     /// `max |ρ[i,j] − conj(ρ[j,i])|` (which also detects non-finite entries,
-    /// since every entry feeds at least one defect term).
+    /// since every entry feeds at least one defect term). The pass walks
+    /// 32 × 32 tiles, so the transposed reads stay in cache, and compares
+    /// squared moduli; only the winning entry's modulus is taken.
     ///
     /// Under [`GuardPolicy::RenormalizeAndCount`] / [`GuardPolicy::FallBack`]
     /// a drifted matrix is hermitised (`(ρ + ρ†)/2`) and trace-renormalised
@@ -367,16 +350,27 @@ impl HealthMonitor {
         for i in 0..n {
             trace += matrix[(i, i)].re;
         }
-        let mut defect = 0.0f64;
-        for i in 0..n {
-            for j in i..n {
-                let d = (matrix[(i, j)] - matrix[(j, i)].conj()).abs();
-                // `>`-comparison with NaN is false, so carry NaN explicitly.
-                if d > defect || d.is_nan() {
-                    defect = d;
+        let data = matrix.as_slice();
+        let (mut worst_sqr, mut worst) = (0.0f64, Complex64::ZERO);
+        for bi in (0..n).step_by(DENSITY_TILE) {
+            for bj in (bi..n).step_by(DENSITY_TILE) {
+                for i in bi..n.min(bi + DENSITY_TILE) {
+                    for j in bj.max(i)..n.min(bj + DENSITY_TILE) {
+                        let d = data[i * n + j] - data[j * n + i].conj();
+                        let d_sqr = d.norm_sqr();
+                        // `>`-comparison with NaN is false, so carry NaN
+                        // explicitly.
+                        if d_sqr > worst_sqr || d_sqr.is_nan() {
+                            (worst_sqr, worst) = (d_sqr, d);
+                        }
+                    }
                 }
             }
         }
+        // The modulus of the winning entry (NaN or infinite for a non-finite
+        // one); `hypot` keeps a finite defect finite where its square
+        // overflows.
+        let defect = worst.abs();
         if !trace.is_finite() || !defect.is_finite() {
             return Err(CoreError::NumericalHealth {
                 step,
@@ -436,7 +430,9 @@ impl HealthMonitor {
 /// any thread count.
 #[cfg(feature = "fault-inject")]
 pub mod inject {
+    use crate::apply::OpKind;
     use crate::complex::{c64, Complex64};
+    use crate::matrix::CMatrix;
     use std::cell::RefCell;
 
     /// A deterministic fault, addressable by execution-step or pool-chunk
@@ -560,14 +556,19 @@ pub mod inject {
         });
     }
 
-    /// The superoperator corruption delta armed for `step`, if any.
-    pub fn superop_corruption(step: usize) -> Option<f64> {
-        FAULTS.with(|faults| {
+    /// A corrupted *copy* of the superoperator swept at `step`, with its
+    /// classification, if a [`Fault::SuperopCorrupt`] is armed for it. The
+    /// original stays clean, so a fallback replay reproduces the clean run.
+    pub fn superop_corruption(step: usize, sup: &CMatrix) -> Option<(OpKind, CMatrix)> {
+        let delta = FAULTS.with(|faults| {
             faults.borrow().iter().find_map(|fault| match *fault {
                 Fault::SuperopCorrupt { step: s, delta } if s == step => Some(delta),
                 _ => None,
             })
-        })
+        })?;
+        let mut corrupted = sup.clone();
+        corrupted[(0, 0)] += c64(delta, 0.0);
+        Some((OpKind::classify(&corrupted), corrupted))
     }
 
     /// Consumes an armed panic for pool chunk `chunk`: returns `true` at most
@@ -608,23 +609,6 @@ mod tests {
     fn unit_state(n: usize) -> Vec<Complex64> {
         let amp = 1.0 / (n as f64).sqrt();
         vec![c64(amp, 0.0); n]
-    }
-
-    #[test]
-    fn default_config_is_disabled_and_checkpoints_never_fire() {
-        let mut monitor = HealthMonitor::new(GuardConfig::default());
-        assert!(!monitor.is_enabled());
-        for _ in 0..100 {
-            assert!(!monitor.due());
-        }
-        assert_eq!(monitor.health(), RunHealth::default());
-    }
-
-    #[test]
-    fn cadence_counts_steps() {
-        let mut monitor = HealthMonitor::new(GuardConfig::enabled().with_cadence(3));
-        let fired: Vec<bool> = (0..9).map(|_| monitor.due()).collect();
-        assert_eq!(fired, vec![false, false, true, false, false, true, false, false, true]);
     }
 
     #[test]
@@ -792,29 +776,6 @@ mod tests {
         assert_eq!(a.max_drift, 1e-3, "smaller incoming drift must not lower the max");
         a.merge(&RunHealth { max_drift: 2.5, ..RunHealth::default() });
         assert_eq!(a.max_drift, 2.5, "larger incoming drift must win");
-    }
-
-    #[test]
-    fn zero_cadence_is_clamped_to_every_step() {
-        let config = GuardConfig::enabled().with_cadence(0);
-        assert_eq!(config.cadence, 1, "with_cadence(0) documents clamping to 1");
-        let mut monitor = HealthMonitor::new(config);
-        assert!(monitor.due(), "cadence 1 fires after every step");
-        assert!(monitor.due());
-    }
-
-    #[test]
-    fn cadence_beyond_step_count_never_fires_mid_run() {
-        // The run loops guarantee the complementary half of the contract:
-        // one final checkpoint always executes when the guard is enabled,
-        // so `checks_run >= 1` even here (covered by the simulator tests).
-        let mut monitor = HealthMonitor::new(GuardConfig::enabled().with_cadence(1000));
-        for _ in 0..5 {
-            assert!(!monitor.due());
-        }
-        let mut amps = unit_state(4);
-        monitor.check_statevector_col(5, &mut amps, 1, 0).unwrap();
-        assert_eq!(monitor.health().checks_run, 1);
     }
 
     #[cfg(feature = "fault-inject")]

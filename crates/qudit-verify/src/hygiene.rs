@@ -83,11 +83,13 @@ const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("crates/qudit-circuit/src/sim/statevector.rs", 1),
     ("crates/qudit-circuit/src/sim/density.rs", 0),
     ("crates/qudit-circuit/src/sim/fusion.rs", 4),
-    ("crates/qudit-circuit/src/sim/trajectory.rs", 1),
+    ("crates/qudit-circuit/src/sim/trajectory.rs", 0),
     // Batched ensemble execution: the panel kernels and the pure-state
     // executor behind every statevector run and trajectory are hot paths.
     ("crates/qudit-core/src/ensemble.rs", 0),
     ("crates/qudit-circuit/src/sim/ensemble.rs", 0),
+    // The one step loop every simulator runs its plans through.
+    ("crates/qudit-circuit/src/sim/exec.rs", 0),
 ];
 
 /// How many lines above an `unsafe` keyword a `SAFETY:` comment may sit.
